@@ -177,8 +177,8 @@ fn bench_dists(c: &mut Criterion) {
 }
 
 fn bench_lint(c: &mut Criterion) {
-    // Single worker: measures the analysis itself (lex + tree + flow +
-    // cross-file index over every workspace source), not pool scheduling.
+    // Single worker: measures the analysis itself (lex + tree + flow over
+    // every workspace source), not pool scheduling.
     let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     c.bench_function("lint_workspace", |b| {
         b.iter(|| {

@@ -124,11 +124,7 @@ impl ClockPolicy {
         }
         self.pending = still;
         if !follow.is_empty() {
-            let receipt = engine.apply_plan(&follow);
-            debug_assert!(
-                receipt.outcomes().iter().all(|o| *o == OpOutcome::Done),
-                "poison follow-ups complete synchronously"
-            );
+            crate::debug_assert_all_done(engine.apply_plan(&follow));
         }
     }
 

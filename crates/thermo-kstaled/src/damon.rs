@@ -153,11 +153,7 @@ impl Damon {
         // otherwise read as activity for dozens of windows.
         let ranges: Vec<(Vpn, u64)> = self.regions.iter().map(|r| (r.start, r.n_pages)).collect();
         let view = engine.memory_view(&ranges, self.scan_workers);
-        let receipt = engine.apply_plan(&crate::clear_accessed_plan(&view));
-        debug_assert!(
-            receipt.outcomes().iter().all(|o| *o == OpOutcome::Done),
-            "ClearAccessed is synchronous"
-        );
+        crate::debug_assert_all_done(engine.apply_plan(&crate::clear_accessed_plan(&view)));
         // Split down to at least min_regions.
         while self.regions.len() < self.config.min_regions {
             if !self.split_largest() {
@@ -224,11 +220,7 @@ impl Damon {
         }
         let mut plan = PolicyPlan::new();
         plan.push(PlanOp::ClearAccessed { pages: cleared });
-        let receipt = engine.apply_plan(&plan);
-        debug_assert!(
-            receipt.outcomes().iter().all(|o| *o == OpOutcome::Done),
-            "ClearAccessed is synchronous"
-        );
+        crate::debug_assert_all_done(engine.apply_plan(&plan));
         self.stats.samples += 1;
     }
 

@@ -27,7 +27,7 @@ pub use damon::{Damon, DamonConfig, DamonStats};
 
 use std::collections::BTreeMap;
 use thermo_mem::{PageSize, Vpn, PAGES_PER_HUGE};
-use thermo_sim::{Engine, MemoryView, PlanOp, PolicyHook, PolicyPlan};
+use thermo_sim::{Engine, MemoryView, OpOutcome, PlanOp, PlanReceipt, PolicyHook, PolicyPlan};
 
 /// Configuration for the [`Kstaled`] scanner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,7 +145,7 @@ impl PolicyHook for Kstaled {
                 st.idle_scans += 1;
             }
         }
-        engine.apply_plan(&clear_accessed_plan(&view));
+        debug_assert_all_done(engine.apply_plan(&clear_accessed_plan(&view)));
         self.scans += 1;
         self.next_due_ns += self.config.scan_period_ns;
     }
@@ -165,6 +165,16 @@ pub(crate) fn clear_accessed_plan(view: &MemoryView) -> PolicyPlan {
             .collect(),
     });
     plan
+}
+
+/// Checks a receipt of synchronous ops (ClearAccessed, SplitSample,
+/// Collapse, Poison): each one completes in the tick it is applied.
+#[track_caller]
+pub(crate) fn debug_assert_all_done(receipt: PlanReceipt) {
+    debug_assert!(
+        receipt.outcomes().iter().all(|o| *o == OpOutcome::Done),
+        "synchronous plan ops complete in their tick"
+    );
 }
 
 /// Number of consecutive accessed scans after which a 4KB region counts as
@@ -204,7 +214,7 @@ impl HotRegionMonitor {
             streaks.insert(t, Box::new([0u8; PAGES_PER_HUGE]));
             ever_hot.insert(t, Box::new([false; PAGES_PER_HUGE]));
         }
-        engine.apply_plan(&plan);
+        debug_assert_all_done(engine.apply_plan(&plan));
         Self {
             period_ns,
             next_due_ns: period_ns,
@@ -240,7 +250,7 @@ impl HotRegionMonitor {
         for &vpn in self.ever_hot.keys() {
             plan.push(PlanOp::Collapse { vpn });
         }
-        engine.apply_plan(&plan);
+        debug_assert_all_done(engine.apply_plan(&plan));
         out
     }
 }
@@ -282,7 +292,7 @@ impl PolicyHook for HotRegionMonitor {
                 }
             }
         }
-        engine.apply_plan(&clear_accessed_plan(&view));
+        debug_assert_all_done(engine.apply_plan(&clear_accessed_plan(&view)));
         self.scans_done += 1;
         if self.scans_done >= self.max_scans {
             self.finished = true;

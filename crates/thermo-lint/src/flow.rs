@@ -1,10 +1,13 @@
-//! Flow-aware lint families over token trees (DESIGN.md §16).
+//! The v2 lint families (DESIGN.md §16). R1 and A1 scan the flat token
+//! stream; X1 and T1 walk fn items over token trees.
 //!
-//! * **R1 `dropped_receipt`** — a statement-form call to `apply_plan` /
-//!   `memory_view` whose result is discarded (or bound to the `_`
-//!   wildcard). `apply_plan` reports per-op [`OpOutcome`]s; dropping the
-//!   receipt silently swallows `Skipped`/`Failed` ops, which is exactly
-//!   how a policy's view of memory drifts from the engine's.
+//! * **R1 `dropped_receipt`** — an `apply_plan`/`memory_view` result bound
+//!   to the `_` wildcard. `PlanReceipt` and `MemoryView` are `#[must_use]`
+//!   and the workspace denies `unused_must_use`, so rustc rejects a receipt
+//!   dropped as a statement; a wildcard binding is the discard it accepts.
+//! * **X1 `plan_op_exhaustiveness`** — a `_ =>` arm inside `local_window`
+//!   or `apply_op`. Both match `PlanOp` exhaustively, so rustc names a new
+//!   variant's missing arm; a wildcard arm would absorb it silently.
 //! * **A1 `atomic_ordering`** — `Ordering::Relaxed` combined with a
 //!   `head`/`tail` atomic op in executor code. The Chase–Lev deque's
 //!   correctness argument (DESIGN.md §15) is written entirely in terms
@@ -32,6 +35,9 @@ use crate::tree::{self, Flat, Tree, Vis};
 /// Methods whose results are engine receipts/snapshots (R1).
 const RECEIPT_METHODS: [&str; 3] = ["apply_plan", "memory_view", "memory_view_uncharged"];
 
+/// The exhaustive `PlanOp` matches that must not grow a wildcard arm (X1).
+const PLAN_OP_MATCH_FNS: [&str; 2] = ["local_window", "apply_op"];
+
 /// Seed-derivation fns whose results are taint sources everywhere (T1).
 const TAINT_SEED_FNS: [&str; 2] = ["derive_stream_seed", "splitmix64"];
 
@@ -49,102 +55,86 @@ const ATOMIC_OPS: [&str; 10] = [
     "fetch_xor",
 ];
 
-/// R1: walks every brace block, splitting its direct children into
-/// `;`-terminated statements; a statement whose value is a receipt-method
-/// call and whose head neither binds nor inspects it is a finding.
-pub fn lint_dropped_receipt(trees: &[Tree], file: &str, findings: &mut Vec<Finding>) {
-    for t in trees {
-        if let Some(g) = t.group() {
-            if g.delim == '{' {
-                scan_block(&g.children, file, findings);
+/// R1: `let _ = ….apply_plan(…);` (or `.memory_view(…)`). Runs on the flat
+/// (cfg-test-stripped) token stream. A receipt dropped as a statement is
+/// rustc's job (`#[must_use]` plus the workspace's `unused_must_use =
+/// "deny"`); a `let _` binding is the discard rustc accepts silently.
+pub fn lint_dropped_receipt(tokens: &[Token], file: &str, findings: &mut Vec<Finding>) {
+    let punct = |k: usize, c: char| tokens.get(k).is_some_and(|t| t.kind == TokenKind::Punct(c));
+    let ident = |k: usize| tokens.get(k).and_then(|t| t.kind.ident());
+    for i in 0..tokens.len() {
+        if ident(i) != Some("let") || ident(i + 1) != Some("_") || !punct(i + 2, '=') {
+            continue;
+        }
+        // The bound value is a receipt call when the statement's last
+        // top-level group, right before its `;`, is `.<method>( … )`.
+        // `last_open` starts at the `=`, so a value with no call never matches.
+        let mut depth = 0i32;
+        let mut last_open = i + 2;
+        for k in i + 3..tokens.len() {
+            match tokens[k].kind {
+                TokenKind::Punct('(') => {
+                    if depth == 0 {
+                        last_open = k;
+                    }
+                    depth += 1;
+                }
+                TokenKind::Punct('[' | '{') => depth += 1,
+                TokenKind::Punct(')' | ']' | '}') => depth -= 1,
+                TokenKind::Punct(';') if depth == 0 => {
+                    let at = &tokens[last_open - 1];
+                    let method = at.kind.ident().unwrap_or_default();
+                    if punct(k - 1, ')')
+                        && punct(last_open - 2, '.')
+                        && RECEIPT_METHODS.contains(&method)
+                    {
+                        findings.push(Finding::new(
+                            file,
+                            at.line,
+                            at.col,
+                            "dropped_receipt",
+                            format!(
+                                "`{method}` result bound to `_`: the wildcard discards the receipt without inspecting any outcome"
+                            ),
+                            "bind it to a name and check it (e.g. debug_assert every OpOutcome is Done), or allow(dropped_receipt) with a reason",
+                        ));
+                    }
+                    break;
+                }
+                _ => {}
             }
-            lint_dropped_receipt(&g.children, file, findings);
         }
     }
 }
 
-fn scan_block(children: &[Tree], file: &str, findings: &mut Vec<Finding>) {
-    let stmts: Vec<&[Tree]> = children.split(|t| t.is_punct(';')).collect();
-    for (idx, stmt) in stmts.iter().enumerate() {
-        // The chunk after the last `;` is the block's tail expression:
-        // its value is the block's value, so a receipt there is used.
-        let terminated = idx + 1 < stmts.len();
-        if !terminated || stmt.len() < 3 {
-            continue;
+/// X1: a `_ =>` arm inside a fn named `local_window` or `apply_op`. Both
+/// are exhaustive matches over `PlanOp`, so rustc already rejects a new
+/// variant that lacks an arm there — unless a wildcard arm absorbs it.
+pub fn lint_plan_op_wildcard(trees: &[Tree], file: &str, findings: &mut Vec<Finding>) {
+    tree::walk_items(trees, &mut |f| {
+        if !PLAN_OP_MATCH_FNS.contains(&f.name) {
+            return;
         }
-        // Statement-final receipt call: `… . <method> ( … )` then `;`.
-        let last = &stmt[stmt.len() - 1];
-        let method = &stmt[stmt.len() - 2];
-        let dot = &stmt[stmt.len() - 3];
-        let is_receipt_call = last.group().is_some_and(|g| g.delim == '(')
-            && method.ident().is_some_and(|m| RECEIPT_METHODS.contains(&m))
-            && dot.is_punct('.');
-        if !is_receipt_call {
-            continue;
-        }
-        let name = method.ident().unwrap_or_default();
-        let (line, col) = method.pos();
-        if let Some(bind) = let_binding_name(stmt) {
-            if bind == "_" {
+        let Some(body) = f.body else { return };
+        let mut flat = Vec::new();
+        tree::flatten(&body.children, &mut flat);
+        for w in flat.windows(3) {
+            if w[0].ident() == Some("_") && w[1].is_punct('=') && w[2].is_punct('>') {
+                let (line, col) = w[0].pos();
                 findings.push(Finding::new(
                     file,
                     line,
                     col,
-                    "dropped_receipt",
+                    "plan_op_exhaustiveness",
                     format!(
-                        "`{name}` result bound to `_`: the wildcard discards the receipt without inspecting any outcome"
+                        "wildcard `_ =>` arm in `{}`: a new PlanOp variant would compile without its own arm",
+                        f.name
                     ),
-                    "bind it to a name and check it (e.g. debug_assert every OpOutcome is Done), or allow(dropped_receipt) with a reason",
+                    "name every variant so rustc's exhaustiveness check flags a new op's missing arm",
                 ));
             }
-            continue; // bound to a real name: used
         }
-        if stmt_consumes_value(stmt) {
-            continue;
-        }
-        findings.push(Finding::new(
-            file,
-            line,
-            col,
-            "dropped_receipt",
-            format!(
-                "`{name}` receipt discarded: every plan/view outcome must be inspected or explicitly allowed"
-            ),
-            "bind the result and check it (e.g. debug_assert every OpOutcome is Done), or allow(dropped_receipt) with a reason",
-        ));
-    }
-}
-
-/// The name a `let` statement binds, when the statement is one.
-fn let_binding_name(stmt: &[Tree]) -> Option<&str> {
-    if stmt.first()?.ident()? != "let" {
-        return None;
-    }
-    stmt.iter()
-        .skip(1)
-        .filter_map(|t| t.ident())
-        .find(|id| *id != "mut")
-}
-
-/// True when the statement's head consumes the trailing call's value:
-/// an assignment, a `return`, or a value-inspecting keyword.
-fn stmt_consumes_value(stmt: &[Tree]) -> bool {
-    if let Some(head) = stmt.first().and_then(Tree::ident) {
-        if matches!(
-            head,
-            "return" | "if" | "match" | "while" | "for" | "loop" | "break"
-        ) {
-            return true;
-        }
-    }
-    // A top-level `=` (not part of `==`, `<=`, `=>`, …) binds the value.
-    stmt.iter().enumerate().any(|(i, t)| {
-        t.is_punct('=')
-            && !stmt
-                .get(i + 1)
-                .is_some_and(|n| n.is_punct('=') || n.is_punct('>'))
-            && !(i > 0 && "=<>!+-*/%&|^".chars().any(|c| stmt[i - 1].is_punct(c)))
-    })
+    });
 }
 
 /// A1: `Ordering::Relaxed` in the same statement as a `head`/`tail`
@@ -196,19 +186,15 @@ pub fn lint_atomic_ordering(tokens: &[Token], file: &str, findings: &mut Vec<Fin
 /// T1: per-fn taint scan. `is_decide` widens the source set to raw RNG
 /// draw methods (legal to *call* there, still illegal to *export*).
 pub fn lint_rng_taint(trees: &[Tree], file: &str, is_decide: bool, findings: &mut Vec<Finding>) {
-    tree::walk_items(
-        trees,
-        &mut |f| {
-            if f.vis != Vis::Pub || sanctioned_egress(f.name) {
-                return;
-            }
-            let Some(body) = f.body else { return };
-            let mut flat = Vec::new();
-            tree::flatten(&body.children, &mut flat);
-            taint_scan(&flat, f.name, file, is_decide, findings);
-        },
-        &mut |_| {},
-    );
+    tree::walk_items(trees, &mut |f| {
+        if f.vis != Vis::Pub || sanctioned_egress(f.name) {
+            return;
+        }
+        let Some(body) = f.body else { return };
+        let mut flat = Vec::new();
+        tree::flatten(&body.children, &mut flat);
+        taint_scan(&flat, f.name, file, is_decide, findings);
+    });
 }
 
 /// Fns allowed to return entropy: the sanctioned egress naming scheme.
@@ -392,7 +378,7 @@ mod tests {
 
     fn run_r1(src: &str) -> Vec<Finding> {
         let mut out = Vec::new();
-        lint_dropped_receipt(&tree::build(&lex(src).tokens), "x.rs", &mut out);
+        lint_dropped_receipt(&lex(src).tokens, "x.rs", &mut out);
         out
     }
 
@@ -403,34 +389,20 @@ mod tests {
     }
 
     #[test]
-    fn dropped_and_wildcard_receipts_are_findings() {
+    fn wildcard_bound_receipts_are_findings() {
         let src = "
             fn f(engine: &mut Engine, plan: &PolicyPlan) {
-                engine.apply_plan(plan);
                 let _ = engine.apply_plan(plan);
+                let _ = engine.memory_view(&ranges(), 1);
+                let _ = (engine.apply_plan(plan), 1);
+                let _ = engine.apply_plan(plan).outcomes();
                 let receipt = engine.apply_plan(plan);
-                drop(receipt);
             }
         ";
         let found = run_r1(src);
         assert_eq!(found.len(), 2, "{found:#?}");
-        assert_eq!(found[0].line, 3);
+        assert_eq!((found[0].line, found[0].col), (3, 32));
         assert_eq!(found[1].line, 4);
-    }
-
-    #[test]
-    fn inspected_receipts_are_clean() {
-        let src = "
-            fn f(engine: &mut Engine, plan: &PolicyPlan) -> PlanReceipt {
-                let r = engine.apply_plan(plan);
-                if engine.memory_view(x, 1).pages().is_empty() { return r; }
-                match engine.apply_plan(plan) { r => r }
-            }
-            fn tail(engine: &mut Engine) -> MemoryView {
-                engine.memory_view(x, 1)
-            }
-        ";
-        assert!(run_r1(src).is_empty(), "{:#?}", run_r1(src));
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! possible hasn't rotted. It is a dependency-free, hand-rolled pass in the
 //! spirit of `thermo-util`'s hermetic philosophy: a small Rust lexer
 //! ([`lexer`]), a lightweight item skipper (so `#[cfg(test)]` code is out of
-//! scope), a brace-matched token-tree layer with item recognition
-//! (`tree`), a cross-file symbol index (`index`), and eleven lint
-//! families ([`lints`]).
+//! scope), a brace-matched token-tree layer with fn-item recognition
+//! (`tree`), and eleven lint families ([`lints`]).
 //!
 //! Token-stream families:
 //!
@@ -28,15 +27,15 @@
 //!   which merge results in completion order instead of stable job-id
 //!   order and so break byte-identity across `THERMO_JOBS` settings.
 //!
-//! Flow-aware families (token trees, `flow`) and the cross-file check
-//! (`index`) — see DESIGN.md §16:
+//! The v2 families (`flow`, DESIGN.md §16). R1 and X1 are the halves of
+//! two invariants that rustc cannot check; rustc enforces the rest:
 //!
-//! * **R1 `dropped_receipt`** — `apply_plan`/`memory_view` results
-//!   discarded (statement-dropped or bound to `_`): an unchecked receipt
-//!   hides `Skipped`/bandwidth-deferred ops.
-//! * **X1 `plan_op_exhaustiveness`** — every `PlanOp` variant must have a
-//!   `local_window()` arm and an `apply_plan` dispatch arm, checked across
-//!   files via the symbol index.
+//! * **R1 `dropped_receipt`** — an `apply_plan`/`memory_view` result bound
+//!   to `_`. A receipt dropped as a statement already fails to compile
+//!   (`#[must_use]` plus the workspace's `unused_must_use = "deny"`).
+//! * **X1 `plan_op_exhaustiveness`** — a `_ =>` arm in `local_window` or
+//!   `apply_op`, which would let a new `PlanOp` variant slip past rustc's
+//!   exhaustiveness check.
 //! * **A1 `atomic_ordering`** — `Ordering::Relaxed` on the Chase-Lev
 //!   deque's `head`/`tail` in executor steal paths.
 //! * **T1 `rng_taint`** — seed/draw values must not escape through
@@ -63,7 +62,6 @@ pub mod lexer;
 pub mod lints;
 
 mod flow;
-mod index;
 mod tree;
 
 pub use lints::{

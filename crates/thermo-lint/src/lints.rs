@@ -12,15 +12,14 @@
 //! | `panic_in_worker`        | E1     | job closures don't panic without a pragma  |
 //! | `sched_purity`           | D4     | `Component` impls see only virtual time    |
 //! | `completion_order_merge` | E2     | executor merges by job id, never arrival   |
-//! | `dropped_receipt`        | R1     | `apply_plan`/`memory_view` results checked |
-//! | `plan_op_exhaustiveness` | X1     | every `PlanOp` has window + dispatch arms  |
+//! | `dropped_receipt`        | R1     | no receipt/view bound to `_`               |
+//! | `plan_op_exhaustiveness` | X1     | no `_ =>` arm in the `PlanOp` matches      |
 //! | `atomic_ordering`        | A1     | Chase-Lev head/tail never `Relaxed`        |
 //! | `rng_taint`              | T1     | entropy values stay behind decide.rs       |
 //!
-//! D1–D4, S1, E1, E2 are token-stream pattern matches; R1/A1/T1 are
-//! flow-aware passes over token trees ([`crate::flow`]) and X1 is a
-//! cross-file check over the symbol index ([`crate::index`]) — see
-//! DESIGN.md §16 for the grammar and per-family rationale.
+//! D1–D4, S1, E1, E2 are token-stream pattern matches; R1/X1/A1/T1 live
+//! in [`crate::flow`] — see DESIGN.md §16 for the per-family rationale,
+//! including which half of R1 and X1 rustc enforces instead.
 //!
 //! An additional internal lint, `bad_pragma`, fires on malformed
 //! suppression pragmas (unknown lint name, missing reason) — and, since
@@ -486,17 +485,15 @@ pub(crate) fn strip_cfg_test(tokens: &[Token]) -> Vec<Token> {
     out
 }
 
-/// One file's analysis: findings before pragma suppression, its parsed
-/// pragmas, and its symbol-index contribution. Produced per file (the
-/// workspace driver fans this out through thermo-exec) and merged by
-/// [`finish`], which runs the cross-file checks, applies suppression
-/// with stale-pragma accounting, and sorts.
+/// One file's analysis: findings before pragma suppression and its parsed
+/// pragmas. Produced per file (the workspace driver fans this out through
+/// thermo-exec) and merged by [`finish`], which applies suppression with
+/// stale-pragma accounting, and sorts.
 #[derive(Debug)]
 pub struct FileAnalysis {
     file: String,
     findings: Vec<Finding>,
     pragmas: Vec<Pragma>,
-    symbols: crate::index::FileSymbols,
 }
 
 /// Runs every per-file lint pass on one source file. Pragma suppression
@@ -624,44 +621,34 @@ pub fn analyze_source(rel_path: &str, source: &str) -> FileAnalysis {
         lint_steal_fns(&tokens, &file, &mut findings);
     }
     lint_component_impls(&tokens, &file, &mut findings);
-
-    // Flow-aware passes run over the token-tree parse of the same
-    // (attribute- and test-stripped) token stream.
-    let trees = crate::tree::build(&tokens);
     if scope.receipt {
-        crate::flow::lint_dropped_receipt(&trees, &file, &mut findings);
+        crate::flow::lint_dropped_receipt(&tokens, &file, &mut findings);
     }
     if scope.atomic {
         crate::flow::lint_atomic_ordering(&tokens, &file, &mut findings);
     }
+
+    // The fn-scoped passes run over the token-tree parse of the same
+    // (attribute- and test-stripped) token stream.
+    let trees = crate::tree::build(&tokens);
+    crate::flow::lint_plan_op_wildcard(&trees, &file, &mut findings);
     if scope.taint {
         crate::flow::lint_rng_taint(&trees, &file, scope.is_decide, &mut findings);
     }
-    let symbols = crate::index::file_symbols(&trees);
 
     FileAnalysis {
         file,
         findings,
         pragmas,
-        symbols,
     }
 }
 
-/// Merges per-file analyses into the final finding list: runs the
-/// cross-file checks over the symbol index, applies pragma suppression
-/// (a pragma reaches its own line and the following line, so both
-/// trailing and stand-alone-comment placement work), flags valid pragmas
-/// that suppressed nothing as stale, and sorts.
-///
-/// Analyses must be supplied in workspace path order — the symbol index
-/// and the output ordering both follow it.
+/// Merges per-file analyses into the final finding list: applies pragma
+/// suppression (a pragma reaches its own line and the following line, so
+/// both trailing and stand-alone-comment placement work), flags valid
+/// pragmas that suppressed nothing as stale, and sorts.
 pub fn finish(analyses: Vec<FileAnalysis>) -> Vec<Finding> {
-    let symbols: Vec<(String, crate::index::FileSymbols)> = analyses
-        .iter()
-        .map(|a| (a.file.clone(), a.symbols.clone()))
-        .collect();
-    let mut findings: Vec<Finding> = crate::index::cross_check(&symbols);
-
+    let mut findings = Vec::new();
     for analysis in analyses {
         // `used` marks pragmas that suppressed at least one finding.
         let mut pragmas: Vec<(Pragma, bool)> =
@@ -708,7 +695,7 @@ pub fn finish(analyses: Vec<FileAnalysis>) -> Vec<Finding> {
 }
 
 /// Lints a set of files given as (workspace-relative path, source) pairs,
-/// including the cross-file checks and stale-pragma accounting.
+/// including stale-pragma accounting.
 pub fn lint_files(files: &[(String, String)]) -> Vec<Finding> {
     finish(
         files
@@ -718,9 +705,7 @@ pub fn lint_files(files: &[(String, String)]) -> Vec<Finding> {
     )
 }
 
-/// Lints one source file. Cross-file checks see only this file's symbols,
-/// so `plan_op_exhaustiveness` fires iff the file defines `PlanOp` without
-/// also containing the window/dispatch arms.
+/// Lints one source file.
 pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
     finish(vec![analyze_source(rel_path, source)])
 }

@@ -70,8 +70,8 @@ fn run(args: &Args) -> Result<ExitCode, String> {
     let findings: Vec<Finding> = if args.files.is_empty() {
         thermo_lint::lint_workspace(&args.root).map_err(|e| format!("walk failed: {e}"))?
     } else {
-        // Explicit files are linted together so the cross-file checks
-        // (X1) see each other's symbols.
+        // Explicit files go through the same per-file passes, stale-pragma
+        // accounting and sort as the workspace walk.
         let mut sources = Vec::new();
         for rel in &args.files {
             let path = args.root.join(rel);

@@ -1,11 +1,10 @@
 //! Token trees and a lightweight item parse over the lexer's output.
 //!
-//! The flow-aware lint families (R1/X1/T1, DESIGN.md §16) need more
-//! structure than a flat token stream: statement boundaries, function
-//! bodies, enum variant lists. This module builds **brace/paren/bracket
-//! matched token trees** and recognizes just enough item grammar —
-//! `fn`/`enum`/`impl`/`mod`/`trait` with visibility — to walk every
-//! function body with its name and visibility attached.
+//! The fn-scoped lint families (X1/T1, DESIGN.md §16) need more structure
+//! than a flat token stream: function bodies with their names. This module
+//! builds **brace/paren/bracket matched token trees** and recognizes just
+//! enough item grammar — `fn`/`impl`/`mod`/`trait` with visibility — to
+//! walk every function body with its name and visibility attached.
 //!
 //! Like the lexer, the parse never fails: a stray closer becomes a leaf,
 //! an unclosed group swallows the rest of the file. A file that confuses
@@ -56,14 +55,6 @@ impl Tree {
         match self {
             Tree::Group(g) => Some(g),
             Tree::Leaf(_) => None,
-        }
-    }
-
-    /// `(line, col)` of the node's first byte.
-    pub fn pos(&self) -> (u32, u32) {
-        match self {
-            Tree::Leaf(t) => (t.line, t.col),
-            Tree::Group(g) => (g.line, g.col),
         }
     }
 }
@@ -200,23 +191,9 @@ pub struct FnItem<'a> {
     pub body: Option<&'a Group>,
 }
 
-/// A recognized `enum` item with its variant names and positions.
-#[derive(Debug)]
-pub struct EnumItem<'a> {
-    /// The enum's name.
-    pub name: &'a str,
-    /// Variants as `(name, line, col)` of each variant's name token.
-    pub variants: Vec<(&'a str, u32, u32)>,
-}
-
 /// Walks items in `trees`, calling `on_fn` for every `fn` (including fns
-/// nested in `impl`/`mod`/`trait` bodies and inside other fn bodies) and
-/// `on_enum` for every `enum`.
-pub fn walk_items<'a>(
-    trees: &'a [Tree],
-    on_fn: &mut dyn FnMut(&FnItem<'a>),
-    on_enum: &mut dyn FnMut(&EnumItem<'a>),
-) {
+/// nested in `impl`/`mod`/`trait` bodies and inside other fn bodies).
+pub fn walk_items<'a>(trees: &'a [Tree], on_fn: &mut dyn FnMut(&FnItem<'a>)) {
     let mut i = 0;
     while i < trees.len() {
         match trees[i].ident() {
@@ -247,32 +224,7 @@ pub fn walk_items<'a>(
                 };
                 on_fn(&item);
                 if let Some(g) = body {
-                    walk_items(&g.children, on_fn, on_enum);
-                }
-                i = j + 1;
-            }
-            Some("enum") => {
-                let name = trees.get(i + 1).and_then(Tree::ident);
-                // The variant list is the first brace group before a `;`.
-                let mut j = i + 2;
-                let mut body = None;
-                while j < trees.len() {
-                    if trees[j].is_punct(';') {
-                        break;
-                    }
-                    if let Some(g) = trees[j].group() {
-                        if g.delim == '{' {
-                            body = Some(g);
-                            break;
-                        }
-                    }
-                    j += 1;
-                }
-                if let (Some(name), Some(g)) = (name, body) {
-                    on_enum(&EnumItem {
-                        name,
-                        variants: enum_variants(g),
-                    });
+                    walk_items(&g.children, on_fn);
                 }
                 i = j + 1;
             }
@@ -285,7 +237,7 @@ pub fn walk_items<'a>(
                     }
                     if let Some(g) = trees[j].group() {
                         if g.delim == '{' {
-                            walk_items(&g.children, on_fn, on_enum);
+                            walk_items(&g.children, on_fn);
                             break;
                         }
                     }
@@ -328,23 +280,6 @@ fn vis_before(trees: &[Tree], at: usize) -> Vis {
     Vis::Private
 }
 
-/// Variant names (and their positions) of an enum body: the first
-/// identifier of every top-level comma-separated chunk.
-fn enum_variants(body: &Group) -> Vec<(&str, u32, u32)> {
-    let mut out = Vec::new();
-    for chunk in body.children.split(|t| t.is_punct(',')) {
-        for t in chunk {
-            if let Tree::Leaf(tok) = t {
-                if let TokenKind::Ident(name) = &tok.kind {
-                    out.push((name.as_str(), tok.line, tok.col));
-                    break;
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,11 +309,9 @@ mod tests {
             impl Foo { pub fn method(&self) {} }
         ";
         let mut seen = Vec::new();
-        walk_items(
-            &trees(src),
-            &mut |f| seen.push((f.name.to_string(), f.vis, f.body.is_some())),
-            &mut |_| {},
-        );
+        walk_items(&trees(src), &mut |f| {
+            seen.push((f.name.to_string(), f.vis, f.body.is_some()))
+        });
         assert_eq!(
             seen,
             vec![
@@ -387,31 +320,6 @@ mod tests {
                 ("hidden".to_string(), Vis::Private, true),
                 ("qual".to_string(), Vis::Pub, true),
                 ("method".to_string(), Vis::Pub, true),
-            ]
-        );
-    }
-
-    #[test]
-    fn enum_variants_are_positioned() {
-        let src = "pub enum Op {\n    First,\n    Second(u64),\n    Third { x: u64 },\n}";
-        let mut enums = Vec::new();
-        walk_items(&trees(src), &mut |_| {}, &mut |e| {
-            enums.push((
-                e.name.to_string(),
-                e.variants
-                    .iter()
-                    .map(|(n, l, c)| (n.to_string(), *l, *c))
-                    .collect::<Vec<_>>(),
-            ))
-        });
-        assert_eq!(enums.len(), 1);
-        assert_eq!(enums[0].0, "Op");
-        assert_eq!(
-            enums[0].1,
-            vec![
-                ("First".to_string(), 2, 5),
-                ("Second".to_string(), 3, 5),
-                ("Third".to_string(), 4, 5),
             ]
         );
     }
@@ -431,11 +339,7 @@ mod tests {
     fn nested_fns_are_walked() {
         let src = "pub fn outer() { fn inner() {} }";
         let mut names = Vec::new();
-        walk_items(
-            &trees(src),
-            &mut |f| names.push(f.name.to_string()),
-            &mut |_| {},
-        );
+        walk_items(&trees(src), &mut |f| names.push(f.name.to_string()));
         assert_eq!(names, vec!["outer", "inner"]);
     }
 }

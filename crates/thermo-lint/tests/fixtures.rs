@@ -3,7 +3,7 @@
 //! synthetic workspace path that puts it in the relevant scope. The files
 //! live in a subdirectory so cargo never compiles them — they are data.
 
-use thermo_lint::{lint_files, lint_source, Finding};
+use thermo_lint::{lint_source, Finding};
 
 /// The `(lint, line, col)` identity of every finding, sorted.
 fn keys(findings: &[Finding]) -> Vec<(String, u32, u32)> {
@@ -270,13 +270,12 @@ fn stale_pragma_is_a_finding() {
 
 #[test]
 fn r1_dropped_receipt() {
-    // Lines 3 (statement-dropped) and 4 (`let _ =`) are findings; the
-    // line-6 drop is excused by the pragma on line 5 (which is therefore
-    // used, not stale); bound/inspected/tail receipts are clean.
+    // Line 4's `let _ =` is a finding; line 6's is excused by the pragma
+    // on line 5 (which is therefore used, not stale).
     expect(
         include_str!("fixtures/r1_receipt.rs"),
         "crates/thermo-sim/src/fixture.rs",
-        &[("dropped_receipt", 3, 12), ("dropped_receipt", 4, 20)],
+        &[("dropped_receipt", 4, 20)],
     );
 }
 
@@ -337,53 +336,13 @@ fn t1_is_off_in_infra_crates() {
 }
 
 #[test]
-fn x1_cross_file_exhaustiveness() {
-    // The enum and its window/dispatch fns live in different files; the
-    // symbol index joins them. `WindowOnly` lacks a dispatch arm (one
-    // finding), `Orphan` lacks both (two findings) — all anchored at the
-    // variant definitions in the enum's file.
-    let files = vec![
-        (
-            "crates/thermo-sim/src/engine/plan.rs".to_string(),
-            include_str!("fixtures/x1_plan.rs").to_string(),
-        ),
-        (
-            "crates/thermo-sim/src/engine/mod.rs".to_string(),
-            include_str!("fixtures/x1_engine.rs").to_string(),
-        ),
-    ];
-    let findings = lint_files(&files);
-    assert_eq!(
-        keys(&findings),
-        vec![
-            ("plan_op_exhaustiveness".to_string(), 5, 5),
-            ("plan_op_exhaustiveness".to_string(), 6, 5),
-            ("plan_op_exhaustiveness".to_string(), 6, 5),
-        ],
-        "{findings:#?}"
-    );
-    for f in &findings {
-        assert_eq!(f.file, "crates/thermo-sim/src/engine/plan.rs");
-        assert_eq!(f.family, "X1");
-    }
-}
-
-#[test]
-fn x1_single_file_defining_the_enum_alone_fires() {
-    // Linting only the defining file: no arm is visible, so every
-    // variant is doubly flagged — deleting an arm can never pass by
-    // linting a subset of the workspace.
+fn x1_wildcard_arm_in_plan_op_dispatch() {
+    // Only the `_ =>` arm inside `apply_op` fires; `Err(_)` patterns and
+    // wildcard arms in other fns are clean.
     expect(
-        include_str!("fixtures/x1_plan.rs"),
+        include_str!("fixtures/x1_wildcard.rs"),
         "crates/thermo-sim/src/engine/plan.rs",
-        &[
-            ("plan_op_exhaustiveness", 4, 5),
-            ("plan_op_exhaustiveness", 4, 5),
-            ("plan_op_exhaustiveness", 5, 5),
-            ("plan_op_exhaustiveness", 5, 5),
-            ("plan_op_exhaustiveness", 6, 5),
-            ("plan_op_exhaustiveness", 6, 5),
-        ],
+        &[("plan_op_exhaustiveness", 10, 13)],
     );
 }
 

@@ -1,15 +1,7 @@
-// Fixture: R1 dropped receipts, linted under an artifact-crate path.
+// Fixture: R1 wildcard-bound receipts, linted under an artifact-crate path.
+// rustc rejects a receipt dropped as a statement; `let _ =` it accepts.
 fn tick(engine: &mut Engine, plan: &PolicyPlan) {
-    engine.apply_plan(plan); // line 3: finding (statement-dropped)
-    let _ = engine.memory_view(&[], 1); // line 4: finding (wildcard bind)
+    let _ = engine.memory_view(&[], 1); // line 4: finding
     // thermo-lint: allow(dropped_receipt, reason = "fixture: deliberate drop")
-    engine.apply_plan(plan); // line 6: suppressed by the pragma above
-    let receipt = engine.apply_plan(plan); // bound to a name: ok
-    if engine.apply_plan(plan).all_done() {
-        consume(receipt); // inspected in an `if` head: ok
-    }
-}
-
-fn tail_value(engine: &mut Engine, plan: &PolicyPlan) -> PlanReceipt {
-    engine.apply_plan(plan) // tail expression is the fn's value: ok
+    let _ = engine.apply_plan(plan); // line 6: suppressed by the pragma above
 }

@@ -53,7 +53,6 @@ impl FrameStats {
 #[derive(Debug)]
 pub struct FrameAllocator {
     base: Pfn,
-    n_blocks: u64,
     /// Fully free 2MB blocks, by block index (ascending allocation order for
     /// determinism).
     free_huge: BTreeSet<u64>,
@@ -77,7 +76,6 @@ impl FrameAllocator {
         let free_huge: BTreeSet<u64> = (0..n_blocks).collect();
         Self {
             base,
-            n_blocks,
             free_huge,
             partial: BTreeMap::new(),
             stats: FrameStats {
@@ -227,11 +225,6 @@ impl FrameAllocator {
         } else {
             Tier::Slow
         }
-    }
-
-    /// Total number of 2MB blocks managed.
-    pub fn total_blocks(&self) -> u64 {
-        self.n_blocks
     }
 }
 

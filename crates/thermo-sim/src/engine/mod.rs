@@ -500,11 +500,6 @@ impl Engine {
         &self.fab
     }
 
-    /// LLC statistics.
-    pub fn llc_stats(&self) -> crate::cache::LlcStats {
-        self.llc.stats()
-    }
-
     /// The slow-tier access-rate series (Figure 3).
     pub fn slow_series(&self) -> &RateSeries {
         &self.slow_series

@@ -255,6 +255,29 @@ impl PolicyPlan {
 }
 
 /// Per-op outcomes plus the total kernel time the plan charged.
+///
+/// `#[must_use]`, and the workspace denies `unused_must_use`: a receipt
+/// dropped as a statement fails to compile, because its outcomes (OOM
+/// fallbacks, drained fault counts, fabric commits) are what the policy
+/// must act on.
+///
+/// ```compile_fail
+/// #![deny(unused_must_use)]
+/// # use thermo_sim::{Engine, PolicyPlan, SimConfig};
+/// # let mut engine = Engine::new(SimConfig::paper_defaults(64 << 20, 64 << 20));
+/// engine.apply_plan(&PolicyPlan::new());
+/// ```
+///
+/// Binding it compiles:
+///
+/// ```
+/// #![deny(unused_must_use)]
+/// # use thermo_sim::{Engine, PolicyPlan, SimConfig};
+/// # let mut engine = Engine::new(SimConfig::paper_defaults(64 << 20, 64 << 20));
+/// let receipt = engine.apply_plan(&PolicyPlan::new());
+/// assert!(receipt.outcomes().is_empty());
+/// ```
+#[must_use = "a plan receipt carries per-op outcomes the policy must act on"]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanReceipt {
     outcomes: Vec<OpOutcome>,

@@ -407,7 +407,7 @@ fn view_plus_targeted_clear_costs_what_fused_scan_did() {
         .collect();
     let mut plan = PolicyPlan::new();
     plan.push(PlanOp::ClearAccessed { pages: accessed });
-    split.apply_plan(&plan);
+    assert_eq!(split.apply_plan(&plan).outcomes(), [OpOutcome::Done]);
     let split_cost = split.stats().kernel_time_ns - k0;
 
     assert_eq!(split_cost, fused_cost);

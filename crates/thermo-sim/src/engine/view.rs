@@ -66,6 +66,30 @@ pub struct PageInfo {
 /// Owns its data: later engine mutations (migrations, splits, poisoning)
 /// never alter an already-taken view, which is what makes "decide on the
 /// snapshot, then apply a plan" race-free by construction.
+///
+/// `#[must_use]`, and the workspace denies `unused_must_use`: taking a view
+/// charges the §3 scan's visit cost, so a view dropped as a statement is a
+/// scan paid for and never read — it fails to compile.
+///
+/// ```compile_fail
+/// #![deny(unused_must_use)]
+/// # use thermo_sim::{Engine, SimConfig};
+/// # let mut engine = Engine::new(SimConfig::paper_defaults(64 << 20, 64 << 20));
+/// let ranges = engine.vma_ranges();
+/// engine.memory_view(&ranges, 1);
+/// ```
+///
+/// Binding it compiles:
+///
+/// ```
+/// #![deny(unused_must_use)]
+/// # use thermo_sim::{Engine, SimConfig};
+/// # let mut engine = Engine::new(SimConfig::paper_defaults(64 << 20, 64 << 20));
+/// let ranges = engine.vma_ranges();
+/// let view = engine.memory_view(&ranges, 1);
+/// assert!(view.pages().is_empty());
+/// ```
+#[must_use = "a memory view is a paid-for scan the policy must read"]
 #[derive(Debug, Clone)]
 pub struct MemoryView {
     at_ns: u64,
@@ -93,11 +117,6 @@ impl MemoryView {
     /// Panics when `i` is out of bounds.
     pub fn range_pages(&self, i: usize) -> &[PageInfo] {
         &self.pages[self.spans[i].2.clone()]
-    }
-
-    /// Number of requested ranges.
-    pub fn range_count(&self) -> usize {
-        self.spans.len()
     }
 
     /// PTEs visited building the snapshot (the §3 scan visit cost).

@@ -38,7 +38,6 @@ pub mod runner;
 pub mod sched;
 pub mod series;
 pub mod stats;
-pub mod trace;
 pub mod workload;
 
 pub use arbiter::{Arbiter, ArbiterConfig, ArbiterEvent, Decision, DecisionKind, TenantReport};
@@ -59,7 +58,6 @@ pub use runner::{
 pub use sched::{
     run_tenants_coscheduled, CoSchedOutcome, Component, Control, SchedConfig, SchedError, Scheduler,
 };
-pub use series::{RateSeries, SampledSeries};
+pub use series::RateSeries;
 pub use stats::EngineStats;
-pub use trace::{Trace, TraceOp, TraceWorkload};
 pub use workload::{Access, FootprintInfo, Workload};

@@ -1,10 +1,7 @@
 //! Time-series rate recording.
 //!
 //! Figure 3 of the paper plots the slow-memory access rate averaged over
-//! 30-second windows; Figures 5–10 plot footprint breakdowns over time.
-//! [`RateSeries`] buckets event counts by virtual time, and
-//! [`SampledSeries`] records point-in-time samples (e.g. bytes of cold
-//! data).
+//! 30-second windows; [`RateSeries`] buckets event counts by virtual time.
 
 /// Counts events into fixed-width virtual-time buckets.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,42 +75,6 @@ impl RateSeries {
     }
 }
 
-/// Point-in-time samples of a value (e.g. cold bytes at each scan).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SampledSeries {
-    points: Vec<(u64, f64)>,
-}
-
-impl SampledSeries {
-    /// An empty series.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `value` at time `now_ns`.
-    pub fn record(&mut self, now_ns: u64, value: f64) {
-        self.points.push((now_ns, value));
-    }
-
-    /// All `(time_ns, value)` points in recording order.
-    pub fn points(&self) -> &[(u64, f64)] {
-        &self.points
-    }
-
-    /// Last recorded value, if any.
-    pub fn last(&self) -> Option<f64> {
-        self.points.last().map(|(_, v)| *v)
-    }
-
-    /// Time-unweighted mean of the recorded values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        self.points.iter().map(|(_, v)| v).sum::<f64>() / self.points.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,18 +113,6 @@ mod tests {
         let mut s = RateSeries::new(1_000_000_000);
         s.record(3_200_000_000, 1);
         assert_eq!(s.buckets(), &[0, 0, 0, 1]);
-    }
-
-    #[test]
-    fn sampled_series_basics() {
-        let mut s = SampledSeries::new();
-        assert_eq!(s.last(), None);
-        assert_eq!(s.mean(), 0.0);
-        s.record(1, 2.0);
-        s.record(2, 4.0);
-        assert_eq!(s.last(), Some(4.0));
-        assert_eq!(s.mean(), 3.0);
-        assert_eq!(s.points().len(), 2);
     }
 
     #[test]

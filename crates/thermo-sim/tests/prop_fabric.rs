@@ -162,7 +162,7 @@ fn fabric_transactions_preserve_residency_and_resolve_exactly_once() {
                         vpn: vpn(base, p as usize),
                         size: PageSize::Huge2M,
                     });
-                    engine.apply_plan(&plan);
+                    assert_eq!(engine.apply_plan(&plan).outcomes().len(), 1);
                     // The overlapping transaction (if any) is now failed
                     // but must still resolve via commit/abort — keep it.
                 }

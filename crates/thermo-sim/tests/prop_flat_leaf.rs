@@ -254,7 +254,8 @@ fn flat_leaves_stay_coherent_under_plan_ops() {
             }
             if !plan.is_empty() {
                 let gen_before = engine.page_table().generation();
-                engine.apply_plan(&plan);
+                let receipt = engine.apply_plan(&plan);
+                assert_eq!(receipt.outcomes().len(), plan.len());
                 let gen_after = engine.page_table().generation();
                 if structural {
                     assert_ne!(gen_before, gen_after, "split/collapse must bump generation");

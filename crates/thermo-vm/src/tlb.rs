@@ -457,11 +457,6 @@ impl Tlb {
     pub fn stats(&self) -> TlbStats {
         self.stats
     }
-
-    /// Resets statistics (not contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
-    }
 }
 
 impl Default for Tlb {

@@ -270,7 +270,11 @@ impl Daemon {
         for &vpn in &selected {
             plan.push(PlanOp::SplitSample { vpn });
         }
-        engine.apply_plan(&plan);
+        let receipt = engine.apply_plan(&plan);
+        debug_assert!(
+            receipt.outcomes().iter().all(|o| *o == OpOutcome::Done),
+            "SplitSample is synchronous"
+        );
         self.sample = selected
             .into_iter()
             .map(|vpn| SampledPage {
@@ -422,7 +426,11 @@ impl Daemon {
                 }
             }
         }
-        engine.apply_plan(&plan);
+        let receipt = engine.apply_plan(&plan);
+        debug_assert!(
+            receipt.outcomes().iter().all(|o| *o == OpOutcome::Done),
+            "ClearAccessed and Poison are synchronous"
+        );
     }
 
     // ------------------------------------------------------------------
@@ -679,11 +687,6 @@ impl Daemon {
             }
         }
         promoted
-    }
-
-    /// The most recent snapshot shard worker count (introspection).
-    pub fn scan_workers(&self) -> usize {
-        self.scan_workers
     }
 }
 

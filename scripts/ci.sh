@@ -52,6 +52,13 @@ cargo build --release --offline --workspace --all-targets
 echo "==> cargo test -q --offline (entire workspace)"
 cargo test -q --offline --workspace
 
+# The benchmark package (perfbench/, see BENCHMARK.json) is a workspace of
+# its own that reaches these crates through path dependencies, so the
+# workspace build above never compiles it. Building and testing it here
+# makes a change to a public API it uses fail CI, not the next benchmark run.
+echo "==> perfbench build + tests (its own workspace)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # Bench regression gate: run both bench targets N times in smoke mode and
 # gate on the median of the N single-shot medians against the checked-in
 # baseline (goldens/bench-baseline.json — itself a median-of-5 recording,

@@ -53,7 +53,7 @@ fn managed(app: AppId) -> (f64, Engine, Daemon) {
 #[test]
 fn tpcc_finds_cold_data_within_slowdown_budget() {
     let base = baseline(AppId::MysqlTpcc);
-    let (tput, mut engine, daemon) = managed(AppId::MysqlTpcc);
+    let (tput, engine, daemon) = managed(AppId::MysqlTpcc);
     assert!(daemon.stats().periods >= 8, "daemon must have run");
     let cold = engine.footprint_breakdown().cold_fraction();
     assert!(
@@ -72,7 +72,7 @@ fn tpcc_finds_cold_data_within_slowdown_budget() {
 #[test]
 fn websearch_archival_index_goes_cold_with_tiny_slowdown() {
     let base = baseline(AppId::WebSearch);
-    let (tput, mut engine, _daemon) = managed(AppId::WebSearch);
+    let (tput, engine, _daemon) = managed(AppId::WebSearch);
     let cold = engine.footprint_breakdown().cold_fraction();
     assert!(
         cold > 0.15,
@@ -89,7 +89,7 @@ fn websearch_archival_index_goes_cold_with_tiny_slowdown() {
 #[test]
 fn whole_stack_is_deterministic() {
     let run = || {
-        let (tput, mut engine, daemon) = managed(AppId::Aerospike);
+        let (tput, engine, daemon) = managed(AppId::Aerospike);
         (
             tput.to_bits(),
             engine.footprint_breakdown(),
@@ -103,7 +103,7 @@ fn whole_stack_is_deterministic() {
 
 #[test]
 fn daemon_history_is_consistent() {
-    let (_, mut engine, daemon) = managed(AppId::Cassandra);
+    let (_, engine, daemon) = managed(AppId::Cassandra);
     let hist = daemon.history();
     assert_eq!(hist.len() as u64, daemon.stats().periods);
     let mut last_t = 0;
@@ -162,7 +162,7 @@ fn runs_are_reproducible_across_threads() {
     // Same-seed runs must agree even when executed on different threads
     // (no hidden thread-local or global state).
     let run = || {
-        let (tput, mut engine, _) = managed(AppId::WebSearch);
+        let (tput, engine, _) = managed(AppId::WebSearch);
         (tput.to_bits(), engine.footprint_breakdown())
     };
     let a = std::thread::spawn(run).join().expect("thread run");
