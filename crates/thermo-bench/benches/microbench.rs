@@ -162,6 +162,27 @@ fn bench_fabric(c: &mut Criterion) {
             black_box(fab.stats().write_aborts)
         })
     });
+    // 32 huge-page demotions queued on a 128MB/s link, ticked every 100ns
+    // (12 bytes of budget, so nearly every tick starves) with a write to a
+    // queued page every 50th tick, which sends copies into backoff: the
+    // fabric's share of each access while a congested link is busy.
+    c.bench_function("fabric_tick_congested", |b| {
+        b.iter(|| {
+            let mut fab = Fabric::new(cfg(128_000_000));
+            for p in 0..32u64 {
+                fab.begin(Vpn(p * 512), PageSize::Huge2M, Tier::Slow, 0);
+            }
+            let mut now = 0u64;
+            for t in 1..=10_000u64 {
+                now += 100;
+                fab.tick(now);
+                if t % 50 == 0 {
+                    fab.note_write(Vpn(t / 50 % 32 * 512), now);
+                }
+            }
+            black_box(fab.stats().congestion_events)
+        })
+    });
 }
 
 fn bench_dists(c: &mut Criterion) {

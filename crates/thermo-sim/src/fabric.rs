@@ -28,11 +28,20 @@
 //! by exactly one frame in exactly one tier) holds at every instant — the
 //! property tests in `tests/prop_fabric.rs` pin this.
 //!
-//! Determinism: the fabric has no RNG and no ambient clock; all state lives
-//! in `BTreeMap`s and is a pure function of the call sequence.
+//! The engine ticks a busy fabric after every access, so that path avoids
+//! work proportional to the queue: each link's queue holds exactly its
+//! `Copying` transactions, [`Fabric::tick`] walks it in place and stops at
+//! the first starved copy (reading only copies still backing off ahead of
+//! it), and a per-2MB region count lets [`Fabric::note_write`] skip its
+//! directory searches for writes far from any shadow or live transaction
+//! (DESIGN.md §12).
+//!
+//! Determinism: the fabric has no RNG, no ambient clock and no hashed
+//! containers; its state (ordered maps, FIFO queues, a dense region
+//! table) is a pure function of the call sequence.
 
 use std::collections::{BTreeMap, VecDeque};
-use thermo_mem::{PageSize, Tier, Vpn};
+use thermo_mem::{PageSize, Tier, Vpn, PAGES_PER_HUGE};
 
 /// Fabric configuration knobs.
 ///
@@ -159,9 +168,59 @@ pub struct FabricStats {
     pub peak_bytes_per_sec: u64,
 }
 
+/// Index of the 2MB region (the region filter's grain) holding `vpn`.
+fn region(vpn: u64) -> u64 {
+    vpn / PAGES_PER_HUGE as u64
+}
+
+/// The regions a leaf at `base` touches; an unaligned huge leaf touches two.
+fn regions(base: Vpn, size: PageSize) -> std::ops::RangeInclusive<u64> {
+    region(base.0)..=region(base.0 + size.small_pages() as u64 - 1)
+}
+
+/// Per-2MB-region count of the shadows and live transactions whose range
+/// touches the region: a write to a region counted zero can neither
+/// invalidate a shadow nor abort a copy. Dense over the lowest to highest
+/// region ever counted, and empty until the first count, so an engine
+/// that never migrates through the fabric carries no table.
 #[derive(Debug, Default)]
-struct Link {
-    queue: VecDeque<u64>,
+struct RegionCounts {
+    /// Region index of `counts[0]`.
+    first: u64,
+    counts: Vec<u32>,
+}
+
+impl RegionCounts {
+    fn get(&self, vpn: Vpn) -> u32 {
+        region(vpn.0)
+            .checked_sub(self.first)
+            .and_then(|i| self.counts.get(i as usize))
+            .map_or(0, |&c| c)
+    }
+
+    fn add(&mut self, base: Vpn, size: PageSize) {
+        let r = regions(base, size);
+        if self.counts.is_empty() {
+            self.first = *r.start();
+        } else if *r.start() < self.first {
+            let grow = (self.first - r.start()) as usize;
+            self.counts.splice(0..0, std::iter::repeat_n(0, grow));
+            self.first = *r.start();
+        }
+        let end = (r.end() - self.first) as usize + 1;
+        if self.counts.len() < end {
+            self.counts.resize(end, 0);
+        }
+        for i in r {
+            self.counts[(i - self.first) as usize] += 1;
+        }
+    }
+
+    fn sub(&mut self, base: Vpn, size: PageSize) {
+        for i in regions(base, size) {
+            self.counts[(i - self.first) as usize] -= 1;
+        }
+    }
 }
 
 /// The migration fabric: two finite-bandwidth links plus transaction and
@@ -173,10 +232,20 @@ pub struct Fabric {
     txns: BTreeMap<u64, MigrateTxn>,
     /// Live (unresolved, non-failed) transaction per page.
     by_page: BTreeMap<Vpn, u64>,
-    /// Per-destination-tier links: `links[0]` → Fast, `links[1]` → Slow.
-    links: [Link; 2],
+    /// Per-destination-tier link queues, `queues[0]` → Fast, `queues[1]` →
+    /// Slow: exactly the link's `Copying` transactions, in arrival order.
+    queues: [VecDeque<u64>; 2],
+    /// Copying transactions resolved (aborted, failed, invalidated) since
+    /// the last tick that advanced time. The links stay busy until that
+    /// tick: the LLC contention penalty, `begin`'s idle reset and the
+    /// arbiter's congestion report all observe `busy()`, and the simulated
+    /// timeline is pinned to this timing (DESIGN.md §12).
+    unswept: u32,
     shadows: BTreeMap<Vpn, PageSize>,
+    /// The live shadows' vpns, oldest first.
     shadow_fifo: VecDeque<Vpn>,
+    /// Shadows plus live transactions per 2MB region (`note_write`'s filter).
+    regions: RegionCounts,
     last_tick_ns: u64,
     next_id: u64,
     stats: FabricStats,
@@ -196,9 +265,11 @@ impl Fabric {
             cfg,
             txns: BTreeMap::new(),
             by_page: BTreeMap::new(),
-            links: [Link::default(), Link::default()],
+            queues: [VecDeque::new(), VecDeque::new()],
+            unswept: 0,
             shadows: BTreeMap::new(),
             shadow_fifo: VecDeque::new(),
+            regions: RegionCounts::default(),
             last_tick_ns: 0,
             next_id: 1,
             stats: FabricStats::default(),
@@ -215,9 +286,10 @@ impl Fabric {
         self.stats
     }
 
-    /// True while any link has queued copies.
+    /// True while any link has queued copies, counting copies resolved
+    /// since the last tick that advanced time.
     pub fn busy(&self) -> bool {
-        self.links.iter().any(|l| !l.queue.is_empty())
+        self.unswept > 0 || self.queues.iter().any(|q| !q.is_empty())
     }
 
     /// True if the fabric holds any state the engine must consult on the
@@ -295,10 +367,11 @@ impl Fabric {
             resume_at_ns: 0,
         };
         if !shadowed {
-            self.links[link_index(target)].queue.push_back(id);
+            self.queues[link_index(target)].push_back(id);
         }
         self.txns.insert(id, txn);
         self.by_page.insert(base_vpn, id);
+        self.regions.add(base_vpn, size);
         id
     }
 
@@ -306,50 +379,50 @@ impl Fabric {
     /// `bandwidth × Δt` bytes per link. The budget is a per-tick floor with
     /// no carry, so charged bandwidth provably never exceeds link capacity
     /// over any interval.
+    ///
+    /// Each queue is walked in place from its head: copies backing off are
+    /// skipped, finished copies leave the queue, and the walk stops at the
+    /// first copy the budget cannot finish. Nothing behind that copy could
+    /// move, so the tick touches no further entry, and it allocates nothing.
     pub fn tick(&mut self, now: u64) {
         let dt = now.saturating_sub(self.last_tick_ns);
         if dt == 0 {
             return;
         }
         self.last_tick_ns = now;
-        for link in &mut self.links {
-            if link.queue.is_empty() {
+        self.unswept = 0;
+        for queue in &mut self.queues {
+            if queue.is_empty() {
                 continue;
             }
             let mut budget =
                 (self.cfg.link_bandwidth_bytes_per_sec as u128 * dt as u128 / 1_000_000_000) as u64;
             let mut moved = 0u64;
-            let mut keep: VecDeque<u64> = VecDeque::new();
             let mut starved = false;
-            while let Some(id) = link.queue.pop_front() {
-                let Some(txn) = self.txns.get_mut(&id) else {
-                    continue; // resolved; stale queue entry
-                };
-                if txn.state != TxnState::Copying {
-                    continue; // failed or already copied; drop lazily
-                }
+            let mut i = 0;
+            while let Some(&id) = queue.get(i) {
+                let txn = self.txns.get_mut(&id).expect("queued id is a live txn");
+                debug_assert_eq!(txn.state, TxnState::Copying, "txn {id} queued");
                 if txn.resume_at_ns > now {
-                    keep.push_back(id); // still backing off
+                    i += 1; // still backing off
                     continue;
                 }
                 if budget == 0 {
                     starved = true;
-                    keep.push_back(id);
-                    continue;
+                    break;
                 }
-                let remaining = txn.size.bytes() as u64 - txn.copied_bytes;
-                let chunk = remaining.min(budget);
+                let size = txn.size.bytes() as u64;
+                let chunk = (size - txn.copied_bytes).min(budget);
                 txn.copied_bytes += chunk;
                 budget -= chunk;
                 moved += chunk;
-                if txn.copied_bytes == txn.size.bytes() as u64 {
-                    txn.state = TxnState::Copied;
-                } else {
+                if txn.copied_bytes < size {
                     starved = true; // budget exhausted mid-page
-                    keep.push_back(id);
+                    break;
                 }
+                txn.state = TxnState::Copied;
+                queue.remove(i);
             }
-            link.queue = keep;
             if starved {
                 self.stats.congestion_events += 1;
             }
@@ -364,10 +437,13 @@ impl Fabric {
     /// The engine observed a write to `vpn`. Invalidate any shadow and
     /// write-abort any in-flight copy covering the page.
     pub fn note_write(&mut self, vpn: Vpn, now: u64) {
+        if self.regions.get(vpn) == 0 {
+            return; // no shadow and no live transaction in vpn's region
+        }
         // Shadows: a write makes the stale fast-tier copy unusable.
         if let Some((&base, &size)) = self.shadows.range(..=vpn).next_back() {
             if base.0 + size.small_pages() as u64 > vpn.0 {
-                self.shadows.remove(&base);
+                self.remove_shadow(base);
             }
         }
         let Some((&base, &id)) = self.by_page.range(..=vpn).next_back() else {
@@ -389,8 +465,9 @@ impl Fabric {
         txn.retries += 1;
         txn.copied_bytes = 0;
         if txn.retries > self.cfg.max_retries {
+            let live = *txn;
             txn.state = TxnState::Failed;
-            self.by_page.remove(&base);
+            self.retire(&live);
             return;
         }
         let was_copied = txn.state == TxnState::Copied;
@@ -403,7 +480,7 @@ impl Fabric {
             if !self.busy() {
                 self.last_tick_ns = now;
             }
-            self.links[link_index(target)].queue.push_back(id);
+            self.queues[link_index(target)].push_back(id);
         }
     }
 
@@ -430,13 +507,7 @@ impl Fabric {
     /// Resolve a `Ready` transaction after the engine has remapped the
     /// page. A demotion leaves a shadow behind for instant re-promotion.
     pub fn finish_commit(&mut self, id: u64) {
-        let txn = self
-            .txns
-            .remove(&id)
-            .unwrap_or_else(|| panic!("fabric: unknown txn {id}"));
-        if self.by_page.get(&txn.base_vpn) == Some(&id) {
-            self.by_page.remove(&txn.base_vpn);
-        }
+        let txn = self.resolve(id);
         self.stats.committed += 1;
         if txn.target == Tier::Slow {
             self.record_shadow(txn.base_vpn, txn.size);
@@ -445,14 +516,36 @@ impl Fabric {
 
     /// Abort and discard transaction `id` (any state). Panics on unknown id.
     pub fn abort(&mut self, id: u64) {
+        self.resolve(id);
+        self.stats.aborted += 1;
+    }
+
+    /// Remove transaction `id` from every directory and queue.
+    fn resolve(&mut self, id: u64) -> MigrateTxn {
         let txn = self
             .txns
             .remove(&id)
             .unwrap_or_else(|| panic!("fabric: unknown txn {id}"));
-        if self.by_page.get(&txn.base_vpn) == Some(&id) {
-            self.by_page.remove(&txn.base_vpn);
+        if txn.state != TxnState::Failed {
+            self.retire(&txn);
         }
-        self.stats.aborted += 1;
+        txn
+    }
+
+    /// Take the live transaction `txn` (as it was before it failed or
+    /// resolved) off its page and, if it was copying, off its link queue.
+    fn retire(&mut self, txn: &MigrateTxn) {
+        self.by_page.remove(&txn.base_vpn);
+        self.regions.sub(txn.base_vpn, txn.size);
+        if txn.state == TxnState::Copying {
+            let queue = &mut self.queues[link_index(txn.target)];
+            let at = queue
+                .iter()
+                .position(|&q| q == txn.id)
+                .expect("a copying txn is queued");
+            queue.remove(at);
+            self.unswept += 1;
+        }
     }
 
     /// A structural page operation (split, collapse, poison, migrate…)
@@ -463,23 +556,24 @@ impl Fabric {
         if self.by_page.is_empty() {
             return;
         }
-        let mut hit: Vec<(Vpn, u64)> = Vec::new();
+        let mut hit: Vec<u64> = Vec::new();
         if let Some((&b, &id)) = self.by_page.range(..=base).next_back() {
             let bn = self.txns[&id].size.small_pages() as u64;
             if b.0 + bn > base.0 {
-                hit.push((b, id));
+                hit.push(id);
             }
         }
         for (&b, &id) in self.by_page.range(Vpn(base.0 + 1)..) {
             if b.0 >= base.0 + n_pages {
                 break;
             }
-            hit.push((b, id));
+            hit.push(id);
         }
-        for (b, id) in hit {
+        for id in hit {
             let txn = self.txns.get_mut(&id).expect("by_page points at live txn");
+            let live = *txn;
             txn.state = TxnState::Failed;
-            self.by_page.remove(&b);
+            self.retire(&live);
             self.stats.invalidated += 1;
         }
     }
@@ -490,28 +584,39 @@ impl Fabric {
         if self.cfg.shadow_capacity == 0 {
             return;
         }
-        if self.shadows.insert(vpn, size).is_none() {
-            self.shadow_fifo.push_back(vpn);
+        match self.shadows.insert(vpn, size) {
+            Some(old) => self.regions.sub(vpn, old),
+            None => self.shadow_fifo.push_back(vpn),
         }
+        self.regions.add(vpn, size);
         while self.shadows.len() as u64 > self.cfg.shadow_capacity {
-            match self.shadow_fifo.pop_front() {
-                Some(old) => {
-                    self.shadows.remove(&old);
-                }
-                None => break,
-            }
+            let oldest = self.shadow_fifo[0];
+            self.remove_shadow(oldest);
         }
     }
 
     /// Consume the shadow for `(vpn, size)` if present and exactly matching.
     pub fn take_shadow(&mut self, vpn: Vpn, size: PageSize) -> bool {
         if self.shadows.get(&vpn) == Some(&size) {
-            self.shadows.remove(&vpn);
+            self.remove_shadow(vpn);
             self.stats.shadow_hits += 1;
             true
         } else {
             false
         }
+    }
+
+    /// Drop the shadow at `vpn` from the directory, its FIFO slot and the
+    /// region counts.
+    fn remove_shadow(&mut self, vpn: Vpn) {
+        let size = self.shadows.remove(&vpn).expect("shadow is recorded");
+        self.regions.sub(vpn, size);
+        let at = self
+            .shadow_fifo
+            .iter()
+            .position(|&v| v == vpn)
+            .expect("a recorded shadow has a FIFO slot");
+        self.shadow_fifo.remove(at);
     }
 
     /// Record an LLC miss that paid the contention penalty.
@@ -664,6 +769,24 @@ mod tests {
         assert!(!f.take_shadow(Vpn(0), PageSize::Huge2M), "oldest evicted");
         assert!(f.take_shadow(Vpn(512), PageSize::Huge2M));
         assert!(f.take_shadow(Vpn(1024), PageSize::Huge2M));
+    }
+
+    #[test]
+    fn shadow_fifo_evicts_the_oldest_live_shadow() {
+        let mut f = Fabric::new(FabricConfig {
+            shadow_capacity: 2,
+            ..FabricConfig::default()
+        });
+        let (a, b, c) = (Vpn(0), Vpn(512), Vpn(1024));
+        f.record_shadow(a, PageSize::Huge2M);
+        f.note_write(a, 0); // invalidates A's first shadow
+        f.record_shadow(b, PageSize::Huge2M);
+        f.record_shadow(a, PageSize::Huge2M);
+        f.record_shadow(c, PageSize::Huge2M);
+        assert!(!f.take_shadow(b, PageSize::Huge2M), "B was the oldest live");
+        assert!(f.take_shadow(a, PageSize::Huge2M));
+        assert!(f.take_shadow(c, PageSize::Huge2M));
+        assert!(f.shadow_fifo.is_empty());
     }
 
     #[test]

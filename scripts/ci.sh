@@ -139,6 +139,36 @@ THERMO_SCAN_JOBS=1 scripts/golden.sh check
 echo "==> golden-artifact check, off-thread scans (THERMO_SCAN_JOBS=4, THERMO_JOBS=$THERMO_JOBS) — wall-clock after"
 THERMO_SCAN_JOBS=4 scripts/golden.sh check
 
+# Byte-identity gate: `golden.sh check` compares structurally, with float
+# tolerance bands, so a speed change that nudges a derived float inside
+# its band would pass it. Goldens are required to stay byte-identical
+# (ROADMAP), so bless the smoke registry into a temporary tree and compare
+# every artifact's bytes against goldens/ in both directions.
+echo "==> golden byte-identity gate (fresh smoke bless vs goldens/, cmp)"
+rebless="$PWD/$bdir/rebless"
+rm -rf "$rebless"
+THERMO_GOLDEN_DIR="$rebless" scripts/golden.sh bless >/dev/null
+n_golden=0
+for fresh in "$rebless"/*.json; do
+  name=$(basename "$fresh")
+  cmp "$fresh" "goldens/$name" || {
+    echo "FAIL: goldens/$name is missing or not byte-identical to a fresh bless" >&2
+    exit 1
+  }
+  n_golden=$((n_golden + 1))
+done
+for golden in goldens/*.json; do
+  name=$(basename "$golden")
+  case "$name" in
+    bench-baseline.json | lint-baseline.json) continue ;;
+  esac
+  if [ ! -f "$rebless/$name" ]; then
+    echo "FAIL: $golden has no fresh artifact (experiment missing from the registry?)" >&2
+    exit 1
+  fi
+done
+echo "    $n_golden artifacts byte-identical"
+
 # Determinism cross-check: the cheapest registry experiment re-run
 # serially must match the same goldens the parallel sweep just checked —
 # a live guard that worker count never leaks into artifacts.
