@@ -15,16 +15,16 @@
 //!   shard per policy byte-for-byte.
 //!
 //! * **`scen_storm`** — the 32-tenant `storm` contention mix
-//!   co-scheduled on one discrete-event timeline (DESIGN.md §13) over
-//!   one arbitrated fast-tier pool, with the policy matrix *colocated*:
-//!   tenant `i` runs policy `i % 4`, so the arbiter mediates between
+//!   co-scheduled (DESIGN.md §13) over one arbitrated fast-tier pool,
+//!   with the policy matrix *colocated*: tenant `i` runs policy
+//!   `i % 4`, so the arbiter mediates between
 //!   SLO-driven Thermostat tenants and capacity-driven
 //!   kstaled/CLOCK/DAMON neighbours in a single run. Slowdown reports
 //!   come from engine-counter deltas, not the policy, so every tenant
 //!   participates in arbitration regardless of its daemon. The golden
 //!   pins each tenant's outcome and pressure counters plus the full
 //!   arbiter event trace; `tests/sched_fuzz.rs` and the CI fuzz loop
-//!   hold the artifact byte-identical under permuted same-tick order.
+//!   hold the artifact byte-identical under permuted tenant order.
 //!
 //! Both runs pin their own virtual durations and policy periods in
 //! [`library::HOUR_NS`] units (the scenario shapes are authored on that

@@ -1,8 +1,8 @@
 //! The shared-fast-tier colocation experiment (`tenants_shared`): the
 //! contention story fixed per-tenant budgets cannot express.
 //!
-//! Three tenants run co-scheduled on one discrete-event timeline
-//! (DESIGN.md §13) over one arbitrated DRAM pool:
+//! Three tenants run co-scheduled (DESIGN.md §13) over one arbitrated
+//! DRAM pool:
 //!
 //! * **victim** (MySQL-TPCC, 3% SLO) — its initial grant is squeezed
 //!   below its working set, so demand paging spills into the slow tier

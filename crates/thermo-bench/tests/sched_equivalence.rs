@@ -1,6 +1,6 @@
 //! The co-scheduled engine's charge-neutrality contract (DESIGN.md §13):
 //! with arbitration disabled and fixed per-tenant budgets, running the
-//! `tenants` mix through the discrete-event scheduler produces the exact
+//! `tenants` mix through the co-scheduled runner produces the exact
 //! bytes of the sharded `run_for` path — same ops, same engine counters,
 //! same footprint breakdowns, for every tenant. One global timeline must
 //! be an *ordering* change, never a *behaviour* change.

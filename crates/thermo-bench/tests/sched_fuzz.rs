@@ -1,14 +1,14 @@
 //! The ordering-fuzz campaign (DESIGN.md §13): `THERMO_SCHED_FUZZ`
-//! permutes the pop order of same-`(time, class)` scheduler batches
-//! under a seeded RNG — the one reordering freedom the discrete-event
-//! contract claims is unobservable. This test holds the whole experiment
+//! permutes, under a seeded RNG, the order in which co-scheduled
+//! tenants advance within each arbiter window — the one reordering
+//! freedom the co-scheduled runner's contract claims is unobservable. This test holds the whole experiment
 //! registry to that claim: every artifact must serialize to the exact
 //! bytes of the unfuzzed run under every fuzz seed.
 //!
 //! Experiments on the sharded path never consult the knob (their
-//! tenants live on private timelines); `tenants_shared` is the one that
-//! actually exercises it, with apps, daemons, reporters, fabric pumps,
-//! and the arbiter sharing ticks on one timeline. The registry-wide
+//! tenants live on private timelines); `tenants_shared` and `scen_storm`
+//! actually exercise it, with apps, daemons, reporters, fabric pumps,
+//! and the arbiter sharing one arbitrated pool. The registry-wide
 //! sweep is deliberate anyway: it pins that the knob is inert everywhere
 //! else, so a future co-scheduled port of another experiment inherits
 //! the campaign for free.
@@ -53,7 +53,7 @@ fn fuzzed_pop_order_never_changes_artifact_bytes() {
             assert_eq!(
                 want, got,
                 "experiment {id}: THERMO_SCHED_FUZZ={seed} changed artifact bytes — \
-                 a component pair in the same (time, class) batch does not commute"
+                 two tenants advanced within one arbiter window do not commute"
             );
         }
     }

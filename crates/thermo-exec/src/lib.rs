@@ -173,18 +173,21 @@ pub fn jobs_from_env() -> usize {
         .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Reads the steal-order fuzz seed from `THERMO_EXEC_FUZZ` (any u64;
-/// unset or unparsable means no fuzzing).
+/// Reads the steal-order fuzz seed from `THERMO_EXEC_FUZZ` (unset means
+/// no fuzzing; decimal or `0x` hex, see
+/// [`thermo_util::rng::parse_seed`]).
 ///
 /// The executor mirror of `THERMO_SCHED_FUZZ`: the seed perturbs which
 /// worker runs which job (initial deal and steal-victim order) without
 /// touching job ids, per-job seeds, or merge order, so artifacts must
 /// stay byte-identical for every value. `scripts/ci.sh` sweeps several
 /// seeds against the golden registry to enforce exactly that.
+///
+/// # Panics
+///
+/// Panics when the variable is set but is not a seed.
 pub fn exec_fuzz_from_env() -> Option<u64> {
-    std::env::var("THERMO_EXEC_FUZZ")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
+    thermo_util::rng::seed_from_env("THERMO_EXEC_FUZZ")
 }
 
 /// Reads the off-thread scan worker count from `THERMO_SCAN_JOBS`.

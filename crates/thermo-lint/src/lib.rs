@@ -7,7 +7,7 @@
 //! spirit of `thermo-util`'s hermetic philosophy: a small Rust lexer
 //! ([`lexer`]), a lightweight item skipper (so `#[cfg(test)]` code is out of
 //! scope), a brace-matched token-tree layer with fn-item recognition
-//! (`tree`), and eleven lint families ([`lints`]).
+//! (`tree`), and ten lint families ([`lints`]).
 //!
 //! Token-stream families:
 //!
@@ -18,8 +18,6 @@
 //!   derivation outside the pool internals.
 //! * **S1 `seam_enforcement`** — policy crates naming engine mechanism
 //!   entry points instead of the `MemoryView`/`PolicyPlan` seam.
-//! * **D4 `sched_purity`** — ambient reads inside `Component` impls, which
-//!   must derive all behavior from constructor state and event arguments.
 //! * **E1 `panic_in_worker`** — panicking calls inside thermo-exec job
 //!   closures without an allow-pragma, and (in the executor crate) inside
 //!   the Chase-Lev steal path itself.

@@ -10,14 +10,13 @@
 //! | `rng_containment`        | D3     | policy RNG draws live in `decide.rs` only  |
 //! | `seam_enforcement`       | S1     | policies speak `MemoryView`/`PolicyPlan`   |
 //! | `panic_in_worker`        | E1     | job closures don't panic without a pragma  |
-//! | `sched_purity`           | D4     | `Component` impls see only virtual time    |
 //! | `completion_order_merge` | E2     | executor merges by job id, never arrival   |
 //! | `dropped_receipt`        | R1     | no receipt/view bound to `_`               |
 //! | `plan_op_exhaustiveness` | X1     | no `_ =>` arm in the `PlanOp` matches      |
 //! | `atomic_ordering`        | A1     | Chase-Lev head/tail never `Relaxed`        |
 //! | `rng_taint`              | T1     | entropy values stay behind decide.rs       |
 //!
-//! D1–D4, S1, E1, E2 are token-stream pattern matches; R1/X1/A1/T1 live
+//! D1–D3, S1, E1, E2 are token-stream pattern matches; R1/X1/A1/T1 live
 //! in [`crate::flow`] — see DESIGN.md §16 for the per-family rationale,
 //! including which half of R1 and X1 rustc enforces instead.
 //!
@@ -26,13 +25,6 @@
 //! the stale-pragma pass, on *valid* pragmas that suppress nothing — so
 //! a typo can never silently disable a real check and a suppression can
 //! never outlive the code it excused.
-//!
-//! D4 exists because D2 cannot cover the scheduler seam: `Component`
-//! impls may live in ambient-allowlisted crates (thermo-bench adapters),
-//! yet the event loop's ordering-fuzz contract (DESIGN.md §13) requires
-//! every tick to be a pure function of component state + the virtual
-//! timeline — no wall clocks, no env reads, no thread identity, no
-//! external entropy, anywhere a `Component` is implemented.
 //!
 //! E2 covers the work-stealing executor's merge discipline (DESIGN.md
 //! §15): results must be indexed and merged by stable job id. Any
@@ -46,13 +38,12 @@
 use crate::lexer::{lex, PragmaComment, Token, TokenKind};
 
 /// Canonical lint names, in family order.
-pub const LINT_NAMES: [&str; 12] = [
+pub const LINT_NAMES: [&str; 11] = [
     "unordered_iteration",
     "ambient_nondeterminism",
     "rng_containment",
     "seam_enforcement",
     "panic_in_worker",
-    "sched_purity",
     "completion_order_merge",
     "dropped_receipt",
     "plan_op_exhaustiveness",
@@ -69,7 +60,6 @@ pub fn family_code(lint: &str) -> &'static str {
         "rng_containment" => "D3",
         "seam_enforcement" => "S1",
         "panic_in_worker" => "E1",
-        "sched_purity" => "D4",
         "completion_order_merge" => "E2",
         "dropped_receipt" => "R1",
         "plan_op_exhaustiveness" => "X1",
@@ -620,7 +610,6 @@ pub fn analyze_source(rel_path: &str, source: &str) -> FileAnalysis {
     if scope.exec {
         lint_steal_fns(&tokens, &file, &mut findings);
     }
-    lint_component_impls(&tokens, &file, &mut findings);
     if scope.receipt {
         crate::flow::lint_dropped_receipt(&tokens, &file, &mut findings);
     }
@@ -862,109 +851,6 @@ fn lint_steal_fns(tokens: &[Token], file: &str, findings: &mut Vec<Finding>) {
             }
         }
         i = k.max(i + 1);
-    }
-}
-
-/// D4: ambient-ordering sources inside a `Component` impl (any crate —
-/// D2's bench allowlist deliberately does not apply here). The scheduler
-/// permutes same-`(time, class)` batches under `THERMO_SCHED_FUZZ`, so a
-/// tick that consults a wall clock, the environment, thread identity, or
-/// external entropy makes the permutation observable and breaks the
-/// byte-identity contract the fuzz campaign enforces.
-fn lint_component_impls(tokens: &[Token], file: &str, findings: &mut Vec<Finding>) {
-    let hint = "Component::tick must be a pure function of component state and virtual \
-                time; read config at construction, never inside the event loop";
-    let mut i = 0;
-    while i < tokens.len() {
-        if tokens[i].kind.ident() != Some("impl") {
-            i += 1;
-            continue;
-        }
-        // Impl header: `impl … Component for … {` with `Component` at
-        // angle-depth zero (so `impl<C: Component> Pool<C>` — a generic
-        // bound, not an implementation — never matches).
-        let mut j = i + 1;
-        let mut angle = 0i32;
-        let mut saw_component = false;
-        let mut is_component_impl = false;
-        while j < tokens.len() {
-            match &tokens[j].kind {
-                TokenKind::Punct('<') => angle += 1,
-                TokenKind::Punct('>') => angle -= 1,
-                TokenKind::Punct('{') | TokenKind::Punct(';') => break,
-                TokenKind::Ident(s) if angle == 0 => {
-                    if s == "Component" {
-                        saw_component = true;
-                    } else if s == "for" && saw_component {
-                        is_component_impl = true;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        if !is_component_impl || tokens.get(j).map(|t| &t.kind) != Some(&TokenKind::Punct('{')) {
-            i = j.max(i + 1);
-            continue;
-        }
-        // The impl body: scan to the matching close brace.
-        let mut depth = 0i32;
-        let mut k = j;
-        while k < tokens.len() {
-            match tokens[k].kind {
-                TokenKind::Punct('{') => depth += 1,
-                TokenKind::Punct('}') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        for (idx, t) in tokens.iter().enumerate().take(k).skip(j + 1) {
-            let Some(ident) = t.kind.ident() else {
-                continue;
-            };
-            let next_is_path = tokens.get(idx + 1).map(|t| &t.kind) == Some(&TokenKind::Punct(':'))
-                && tokens.get(idx + 2).map(|t| &t.kind) == Some(&TokenKind::Punct(':'));
-            let flagged = if AMBIENT_IDENTS.contains(&ident) {
-                Some(format!(
-                    "`{ident}` inside a `Component` impl reads wall-clock state"
-                ))
-            } else if next_is_path && AMBIENT_CRATE_PATHS.contains(&ident) {
-                Some(format!(
-                    "`{ident}::` inside a `Component` impl pulls external entropy"
-                ))
-            } else if next_is_path && ident == "env" {
-                Some(
-                    "`env::` inside a `Component` impl: ambient configuration read mid-tick"
-                        .to_string(),
-                )
-            } else if next_is_path
-                && ident == "thread"
-                && tokens.get(idx + 3).and_then(|t| t.kind.ident()) == Some("current")
-            {
-                Some(
-                    "`thread::current()` inside a `Component` impl exposes scheduling identity"
-                        .to_string(),
-                )
-            } else {
-                None
-            };
-            if let Some(message) = flagged {
-                findings.push(Finding::new(
-                    file,
-                    t.line,
-                    t.col,
-                    "sched_purity",
-                    message,
-                    hint,
-                ));
-            }
-        }
-        i = k.max(j + 1);
     }
 }
 

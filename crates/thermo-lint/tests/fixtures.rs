@@ -135,46 +135,6 @@ fn s1_out_of_scope_outside_policy_crates() {
 }
 
 #[test]
-fn d4_sched_purity_in_component_impls() {
-    // Linted under thermo-bench, where D2's wall-clock allowlist applies:
-    // only the D4 findings inside the Component impl remain — the same
-    // ambient reads outside any impl produce nothing.
-    expect(
-        include_str!("fixtures/d4_sched.rs"),
-        "crates/thermo-bench/src/fixture.rs",
-        &[
-            ("sched_purity", 17, 19),
-            ("sched_purity", 18, 26),
-            ("sched_purity", 19, 25),
-            ("sched_purity", 20, 26),
-        ],
-    );
-}
-
-#[test]
-fn d4_stacks_with_d2_outside_the_allowlist() {
-    // In the simulation crate the same fixture is double-flagged: D2 for
-    // every ambient read in the file, D4 for the ones inside the impl.
-    expect(
-        include_str!("fixtures/d4_sched.rs"),
-        "crates/thermo-sim/src/fixture.rs",
-        &[
-            ("ambient_nondeterminism", 5, 16),
-            ("ambient_nondeterminism", 17, 19),
-            // line 18 (`std::env::var`) is exactly what D2 does NOT
-            // catch — the env read is D4's own contribution.
-            ("ambient_nondeterminism", 19, 25),
-            ("ambient_nondeterminism", 20, 26),
-            ("ambient_nondeterminism", 49, 13),
-            ("sched_purity", 17, 19),
-            ("sched_purity", 18, 26),
-            ("sched_purity", 19, 25),
-            ("sched_purity", 20, 26),
-        ],
-    );
-}
-
-#[test]
 fn e1_panic_in_worker() {
     expect(
         include_str!("fixtures/e1_panic.rs"),

@@ -390,6 +390,40 @@ mod tests {
     }
 
     #[test]
+    fn invalidate_frames_matches_per_frame_calls_for_a_huge_page() {
+        // The fleet geometry: a 256KB LLC (256 sets x 16 ways) against a
+        // 2MB page's 512 frames, the size migrate_page and fabric commits
+        // invalidate in bulk.
+        let build = || {
+            let mut c = Llc::new(LlcConfig {
+                size_bytes: 256 << 10,
+                ways: 16,
+                hit_ns: 10,
+            });
+            // Lines of the page, of its neighbours on both sides, and an
+            // unrelated range, more than the cache holds so some evict.
+            for l in (512 * 64 - 300..2 * 512 * 64 + 300).step_by(7) {
+                c.access(l);
+            }
+            for l in 1_000_000..1_001_000u64 {
+                c.access(l);
+            }
+            c
+        };
+        let mut bulk = build();
+        let mut per = build();
+        let d_bulk = bulk.invalidate_frames(Pfn(512), 512);
+        let mut d_per = 0;
+        for f in 512u64..1024 {
+            d_per += per.invalidate_frame(Pfn(f));
+        }
+        assert!(d_bulk > 0, "the page had resident lines");
+        assert_eq!(d_bulk, d_per);
+        assert_eq!(bulk.stats(), per.stats());
+        assert_eq!(bulk.data, per.data, "tag stores must match exactly");
+    }
+
+    #[test]
     fn invalidate_frames_small_range_falls_back() {
         let mut c = Llc::new(LlcConfig {
             size_bytes: 1 << 20,

@@ -158,9 +158,7 @@ impl Engine {
             // The fast-tier copy left by a recent fabric demotion is still
             // intact: re-promotion is a pure remap, no bulk transfer.
             let new = self.mem.alloc(target, m.size)?;
-            for i in 0..m.size.small_pages() as u64 {
-                self.llc.invalidate_frame(old.offset(i));
-            }
+            self.llc.invalidate_frames(old, m.size.small_pages() as u64);
             self.mem.free(cur, old, m.size);
             self.pt.with_pte_mut(base_vpn, |pte| pte.set_pfn(new));
             self.tlb.shootdown(base_vpn, m.size, self.vpid);
@@ -168,9 +166,7 @@ impl Engine {
             return Ok(());
         }
         let new = self.mem.alloc(target, m.size)?;
-        for i in 0..m.size.small_pages() as u64 {
-            self.llc.invalidate_frame(old.offset(i));
-        }
+        self.llc.invalidate_frames(old, m.size.small_pages() as u64);
         self.mem.free(cur, old, m.size);
         self.pt.with_pte_mut(base_vpn, |pte| pte.set_pfn(new));
         self.tlb.shootdown(base_vpn, m.size, self.vpid);
@@ -287,9 +283,7 @@ impl Engine {
             });
         }
         let new = self.mem.alloc(target, size)?;
-        for i in 0..size.small_pages() as u64 {
-            self.llc.invalidate_frame(old.offset(i));
-        }
+        self.llc.invalidate_frames(old, size.small_pages() as u64);
         self.mem.free(cur, old, size);
         self.pt.with_pte_mut(base_vpn, |pte| pte.set_pfn(new));
         self.tlb.shootdown(base_vpn, size, self.vpid);

@@ -9,8 +9,9 @@
 //! * [`process`] — VMAs and demand paging with THP;
 //! * [`workload`] / [`runner`] — the application abstraction and the loop
 //!   that interleaves it with policy daemons on the virtual timeline;
-//! * [`sched`] / [`arbiter`] — the discrete-event co-scheduled engine and
-//!   the shared-fast-tier capacity arbiter (DESIGN.md §13);
+//! * [`sched`] / [`arbiter`] — the co-scheduled multi-tenant runner
+//!   (per-tenant timelines between arbiter ticks) and the
+//!   shared-fast-tier capacity arbiter (DESIGN.md §13);
 //! * [`config`], [`stats`], [`series`], [`clock`] — configuration and
 //!   observability.
 //!
@@ -55,9 +56,7 @@ pub use runner::{
     run_for, run_for_instrumented, run_ops, run_tenants_sharded, NoPolicy, PolicyHook, RunOutcome,
     ShardOutcome,
 };
-pub use sched::{
-    run_tenants_coscheduled, CoSchedOutcome, Component, Control, SchedConfig, SchedError, Scheduler,
-};
+pub use sched::{run_tenants_coscheduled, CoSchedOutcome, SchedConfig, SchedError};
 pub use series::RateSeries;
 pub use stats::EngineStats;
 pub use workload::{Access, FootprintInfo, Workload};

@@ -1,16 +1,16 @@
-//! The scheduler's only randomized choice — the ordering-fuzz
+//! The co-scheduled runner's only randomized choice — the ordering-fuzz
 //! permutation — isolated in `decide.rs` per the repo's RNG-containment
 //! rule (thermo-lint D3): every draw site lives here, is pure in
-//! `(rng state, inputs)`, and is unit-testable without a scheduler.
+//! `(rng state, inputs)`, and is unit-testable without a runner.
 
 use thermo_util::rng::{SliceRandom, SmallRng};
 
 /// Fisher–Yates–shuffles `batch` in place under the fuzz RNG.
 ///
-/// Called only on batches of components sharing one `(time, class)` heap
-/// key — the only positions where the scheduler's contract says order
-/// must not be observable. `tests/sched_fuzz.rs` asserts artifacts are
-/// byte-identical under four seeds of this permutation.
+/// Called once per arbiter window on the order in which tenants advance
+/// through it — tenants own disjoint engines, so the runner's contract
+/// says that order must not be observable. `tests/sched_fuzz.rs` asserts
+/// artifacts are byte-identical under four seeds of this permutation.
 pub(crate) fn permute_batch(rng: &mut SmallRng, batch: &mut [u32]) {
     batch.shuffle(rng);
 }

@@ -1,30 +1,33 @@
-//! The discrete-event co-scheduled engine (DESIGN.md §13).
+//! The co-scheduled multi-tenant engine (DESIGN.md §13).
 //!
-//! [`Scheduler`] drives heterogeneous [`Component`]s — tenant
-//! applications, policy daemons, migration-fabric pumps, slowdown
-//! reporters, and the fast-tier [`crate::arbiter::Arbiter`] — on **one
-//! global virtual timeline**, popping a min-heap of
-//! `(next_tick, class, component_id)` events. The `class` is a fixed
-//! phase priority (arbiter < reporter < daemon < fabric < app) and
-//! `component_id` breaks the remaining ties, so runs are bit-for-bit
-//! deterministic.
+//! Every tenant runs on its own `Timeline`: one engine plus the four
+//! kinds of events that act on it — slowdown reporter, policy daemon,
+//! migration-fabric pump and application op — executed in
+//! `(time, class)` order with the fixed phase priority
+//! reporter < daemon < pump < app. Tenants share state only through the
+//! fast-tier [`Arbiter`], whose ticks split virtual time into windows:
+//! [`run_tenants_coscheduled`] advances every live tenant through the
+//! window up to (excluding) the next arbiter tick `S`, applies the
+//! arbiter at `S`, and repeats.
 //!
+//! This is exactly one global event order keyed `(time, class,
+//! component_id)` with the arbiter in class 0: the arbiter runs after
+//! every tenant event before `S` and before every event at or after `S`,
+//! and keys never decrease (engine clocks only advance), so running each
+//! tenant's smallest current key is what a global min-heap would pop.
 //! Two properties are load-bearing and tested:
 //!
-//! * **Charge-neutrality** — with arbitration off, a co-scheduled
-//!   multi-tenant run reproduces [`crate::runner::run_tenants_sharded`]
-//!   byte-for-byte (`tests/sched_equivalence.rs`): the daemon-before-app
-//!   ordering at equal times mirrors `run_for`'s
-//!   `while policy.next_due_ns() <= engine.now_ns()` loop, and a daemon
-//!   whose tenant is past its deadline parks without firing, exactly as
-//!   `run_for` exits without a final policy tick.
-//! * **Order-independence within a tick** — components sharing a
-//!   `(time, class)` key must commute (tenants own disjoint engines;
-//!   cross-tenant communication flows only through the ordered
-//!   [`Mailbox`], consumed by the strictly-earlier-classed arbiter). The
-//!   `THERMO_SCHED_FUZZ=<seed>` knob permutes exactly those batches
-//!   under a seeded RNG; `tests/sched_fuzz.rs` asserts artifacts are
-//!   invariant.
+//! * **Charge-neutrality** — with arbitration off there is one unbounded
+//!   window, and a timeline is `run_for`'s loop: a due policy fires
+//!   before the app op at equal times, and a daemon whose tenant is past
+//!   its deadline parks without firing
+//!   (`thermo-bench/tests/sched_equivalence.rs`).
+//! * **Order-independence within a window** — tenants own disjoint
+//!   engines, so the order in which they advance is unobservable.
+//!   `THERMO_SCHED_FUZZ=<seed>` permutes it per window under a seeded
+//!   RNG; `thermo-bench/tests/sched_fuzz.rs` asserts artifacts are
+//!   invariant, and `thermo-bench/tests/cosched_oracle.rs` checks the
+//!   windows against a naive global event loop.
 
 mod decide;
 
@@ -33,67 +36,23 @@ use crate::engine::{Engine, PressureStats};
 use crate::runner::{PolicyHook, RunOutcome, ShardOutcome};
 use crate::stats::EngineStats;
 use crate::workload::{Access, Workload};
-use std::cell::{Cell, RefCell};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::rc::Rc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use thermo_util::rng::{SeedableRng, SmallRng};
-
-/// Phase priority of the arbiter (consumes strictly-earlier reports).
-pub const CLASS_ARBITER: u8 = 0;
-/// Phase priority of per-tenant slowdown reporters.
-pub const CLASS_REPORTER: u8 = 1;
-/// Phase priority of policy daemons (before the app at equal times, the
-/// `run_for` interleaving).
-pub const CLASS_DAEMON: u8 = 2;
-/// Phase priority of migration-fabric pumps.
-pub const CLASS_FABRIC: u8 = 3;
-/// Phase priority of tenant applications (last at equal times).
-pub const CLASS_APP: u8 = 4;
 
 /// Group id used by components outside any tenant (the arbiter).
 pub const GROUP_GLOBAL: u32 = u32::MAX;
 
-/// One schedulable unit on the global virtual timeline.
+/// Co-scheduled run failure: a component panicked mid-event.
 ///
-/// Implementations must be pure in their own state plus explicitly
-/// shared simulation state (`Rc<RefCell<Engine>>`, mailboxes): no wall
-/// clocks, no ambient ordering, no unseeded randomness — enforced by
-/// thermo-lint's `sched_purity` check.
-pub trait Component {
-    /// Next virtual time this component wants to run (`u64::MAX` =
-    /// never; the scheduler drops it until re-registered).
-    fn next_tick_ns(&self) -> u64;
-
-    /// Runs one step at its scheduled time and says what to do next.
-    fn tick(&mut self) -> Control;
-
-    /// Label used in error messages and traces.
-    fn label(&self) -> String {
-        "component".into()
-    }
-}
-
-/// What a [`Component::tick`] wants the scheduler to do next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Control {
-    /// Reschedule at the component's new `next_tick_ns`.
-    Continue,
-    /// Stop scheduling this component.
-    Park,
-    /// Stop scheduling every component in this component's group (a
-    /// tenant finished: its daemon/reporter/pump stop with it).
-    ParkGroup,
-}
-
-/// Scheduler failure: a component panicked mid-tick.
-///
-/// Mirrors `thermo_exec::ExecError`'s contract: the event loop drains
-/// cleanly (the poisoned group parks, every other group runs to
-/// completion) and the **lowest** panicking component id is reported.
-#[derive(Debug)]
+/// Mirrors `thermo_exec::ExecError`'s contract: the run drains cleanly
+/// (the poisoned tenant stops, every other tenant runs to completion)
+/// and the **lowest** panicking component id is reported. Component ids
+/// count in registration order: per tenant its daemon, reporter (shared
+/// mode), fabric pump (shared mode with the fabric on) and app, then the
+/// arbiter last.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SchedError {
-    /// A component's `tick` panicked.
+    /// A component's event panicked.
     ComponentPanicked {
         /// Id of the panicking component (lowest, if several panicked).
         component_id: u32,
@@ -124,241 +83,15 @@ impl std::fmt::Display for SchedError {
 
 impl std::error::Error for SchedError {}
 
-/// Reads the ordering-fuzz seed from `THERMO_SCHED_FUZZ` (unset or
-/// unparsable = no fuzzing — the production configuration).
+/// Reads the tenant-order fuzz seed from `THERMO_SCHED_FUZZ` (unset = no
+/// fuzzing, the production configuration).
+///
+/// # Panics
+///
+/// Panics when the variable is set but is not a seed (see
+/// [`thermo_util::rng::parse_seed`]).
 pub fn fuzz_seed_from_env() -> Option<u64> {
-    std::env::var("THERMO_SCHED_FUZZ")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-}
-
-struct Slot {
-    comp: Box<dyn Component>,
-    class: u8,
-    group: u32,
-    parked: bool,
-    essential: bool,
-}
-
-/// The discrete-event loop: a min-heap of `(next_tick, class, id)` over
-/// registered [`Component`]s. See the module docs for ordering and
-/// determinism rules.
-pub struct Scheduler {
-    slots: Vec<Slot>,
-    heap: BinaryHeap<Reverse<(u64, u8, u32)>>,
-    fuzz: Option<SmallRng>,
-    panics: Vec<(u32, u32, String, String)>,
-    /// Scratch for the same-(time, class) batch, reused across events so
-    /// the event loop allocates nothing in steady state.
-    batch: Vec<u32>,
-    /// Count of essential, unparked components — maintained on every
-    /// park transition so the loop condition is O(1) per event instead of
-    /// a slot scan.
-    live_essentials: usize,
-}
-
-impl Scheduler {
-    /// Creates a scheduler; `fuzz_seed` enables the ordering-fuzz mode
-    /// (see [`fuzz_seed_from_env`]).
-    pub fn new(fuzz_seed: Option<u64>) -> Self {
-        Self {
-            slots: Vec::new(),
-            heap: BinaryHeap::new(),
-            fuzz: fuzz_seed.map(SmallRng::seed_from_u64),
-            panics: Vec::new(),
-            batch: Vec::new(),
-            live_essentials: 0,
-        }
-    }
-
-    /// Registers a component and returns its id (registration order).
-    /// `essential` components keep the loop alive: [`Scheduler::run`]
-    /// returns once every essential component is parked.
-    pub fn add(&mut self, class: u8, group: u32, essential: bool, comp: Box<dyn Component>) -> u32 {
-        let id = u32::try_from(self.slots.len()).expect("component id overflow");
-        self.slots.push(Slot {
-            comp,
-            class,
-            group,
-            parked: false,
-            essential,
-        });
-        if essential {
-            self.live_essentials += 1;
-        }
-        id
-    }
-
-    fn park_group(&mut self, group: u32) {
-        for slot in &mut self.slots {
-            if slot.group == group && !slot.parked {
-                slot.parked = true;
-                if slot.essential {
-                    self.live_essentials -= 1;
-                }
-            }
-        }
-    }
-
-    fn park_one(&mut self, id: u32) {
-        let slot = &mut self.slots[id as usize];
-        if !slot.parked {
-            slot.parked = true;
-            if slot.essential {
-                self.live_essentials -= 1;
-            }
-        }
-    }
-
-    fn live_essential(&self) -> usize {
-        debug_assert_eq!(
-            self.live_essentials,
-            self.slots
-                .iter()
-                .filter(|s| s.essential && !s.parked)
-                .count()
-        );
-        self.live_essentials
-    }
-
-    /// Pops entries until one is *current* (component unparked and its
-    /// `next_tick_ns` still equals the popped key); stale entries are
-    /// re-pushed with their fresh key.
-    fn pop_current(&mut self) -> Option<(u64, u8, u32)> {
-        while let Some(Reverse((t, c, id))) = self.heap.pop() {
-            let slot = &self.slots[id as usize];
-            if slot.parked {
-                continue;
-            }
-            let cur = slot.comp.next_tick_ns();
-            if cur == t {
-                return Some((t, c, id));
-            }
-            if cur != u64::MAX {
-                self.heap.push(Reverse((cur, slot.class, id)));
-            }
-        }
-        None
-    }
-
-    /// Runs the event loop to completion.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchedError::ComponentPanicked`] for the lowest-id
-    /// panicking component; the loop still drains every healthy group
-    /// first, mirroring `thermo-exec`'s panic contract.
-    pub fn run(&mut self) -> Result<(), SchedError> {
-        for (id, slot) in self.slots.iter().enumerate() {
-            let t = slot.comp.next_tick_ns();
-            if t != u64::MAX {
-                self.heap.push(Reverse((t, slot.class, id as u32)));
-            }
-        }
-
-        while self.live_essential() > 0 {
-            let Some((t, c, first)) = self.pop_current() else {
-                break;
-            };
-            // Collect the whole same-(time, class) batch. Members are
-            // guaranteed disjoint (distinct tenants), so their execution
-            // order is unobservable — which the fuzz mode verifies by
-            // permuting it.
-            let mut batch = std::mem::take(&mut self.batch);
-            batch.clear();
-            batch.push(first);
-            while let Some(&Reverse((t2, c2, _))) = self.heap.peek() {
-                if t2 != t || c2 != c {
-                    break;
-                }
-                let Some((_, _, id2)) = self.pop_current_at(t, c) else {
-                    break;
-                };
-                batch.push(id2);
-            }
-            batch.sort_unstable();
-            batch.dedup();
-            if let Some(rng) = &mut self.fuzz {
-                decide::permute_batch(rng, &mut batch);
-            }
-            for &id in &batch {
-                self.run_one(t, id);
-            }
-            self.batch = batch;
-        }
-
-        if let Some((component_id, group, label, message)) =
-            self.panics.iter().min_by_key(|p| p.0).cloned()
-        {
-            return Err(SchedError::ComponentPanicked {
-                component_id,
-                group,
-                label,
-                message,
-            });
-        }
-        Ok(())
-    }
-
-    /// Like [`Self::pop_current`] but only while the top key stays at
-    /// `(t, c)`; returns `None` once it moves past.
-    fn pop_current_at(&mut self, t: u64, c: u8) -> Option<(u64, u8, u32)> {
-        while let Some(&Reverse((t2, c2, _))) = self.heap.peek() {
-            if t2 != t || c2 != c {
-                return None;
-            }
-            let Reverse((_, _, id)) = self.heap.pop().expect("peeked");
-            let slot = &self.slots[id as usize];
-            if slot.parked {
-                continue;
-            }
-            let cur = slot.comp.next_tick_ns();
-            if cur == t2 {
-                return Some((t2, c2, id));
-            }
-            if cur != u64::MAX {
-                self.heap.push(Reverse((cur, slot.class, id)));
-            }
-        }
-        None
-    }
-
-    fn run_one(&mut self, t: u64, id: u32) {
-        let slot = &mut self.slots[id as usize];
-        // An earlier batch member may have parked this group or (in
-        // principle) perturbed this component's schedule; re-validate.
-        if slot.parked {
-            return;
-        }
-        let cur = slot.comp.next_tick_ns();
-        if cur != t {
-            if cur != u64::MAX {
-                self.heap.push(Reverse((cur, slot.class, id)));
-            }
-            return;
-        }
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| slot.comp.tick()));
-        match result {
-            Ok(Control::Continue) => {
-                let next = slot.comp.next_tick_ns();
-                if next != u64::MAX {
-                    self.heap.push(Reverse((next, slot.class, id)));
-                }
-            }
-            Ok(Control::Park) => self.park_one(id),
-            Ok(Control::ParkGroup) => {
-                let group = slot.group;
-                self.park_group(group);
-            }
-            Err(payload) => {
-                let message = panic_message(payload);
-                let group = slot.group;
-                let label = slot.comp.label();
-                self.panics.push((id, group, label, message));
-                self.park_group(group);
-            }
-        }
-    }
+    thermo_util::rng::seed_from_env("THERMO_SCHED_FUZZ")
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -385,7 +118,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// `report_period_ns`) from each tenant's own.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedConfig {
-    /// Route `run_tenants_sharded` through the discrete-event scheduler.
+    /// Route `run_tenants_sharded` through [`run_tenants_coscheduled`].
     pub coscheduled: bool,
     /// Size of the shared fast-tier pool arbitrated across tenants;
     /// 0 = arbitration off (fixed budgets, the charge-neutral mode).
@@ -431,190 +164,173 @@ thermo_util::json_struct!(SchedConfig {
 });
 
 // ---------------------------------------------------------------------
-// Component adapters
+// Tenant timelines
 // ---------------------------------------------------------------------
 
-/// Cross-component post box: reporters insert, the arbiter consumes.
-/// Keyed by tenant id so insertion *order* is unobservable — a fuzzed
-/// reporter batch leaves identical mailbox state.
-#[derive(Default)]
-struct Mailbox {
-    reports: std::collections::BTreeMap<u32, TenantReport>,
+/// A tenant's event kinds, in phase order at equal virtual times.
+#[derive(Debug, Clone, Copy)]
+enum Role {
+    /// Samples the engine's slowdown for the arbiter (shared mode only).
+    Reporter,
+    /// Fires the policy at `next_due_ns`, as `run_for` does.
+    Daemon,
+    /// Drains in-flight fabric copies during compute gaps (shared mode
+    /// with the fabric on).
+    Pump,
+    /// One application op; last at a given instant.
+    App,
 }
 
-/// A tenant application: replays `run_for`'s op loop as tick events.
-struct AppComponent {
-    engine: Rc<RefCell<Engine>>,
+/// One tenant: its engine, workload and policy, and the next time of
+/// each of its periodic events (`u64::MAX` = never).
+struct Timeline {
+    engine: Engine,
     workload: Box<dyn Workload>,
+    policy: Box<dyn PolicyHook>,
+    tenant: u32,
+    seed: u64,
+    start_ns: u64,
     deadline_ns: u64,
-    ops: Rc<Cell<u64>>,
+    /// `policy.next_due_ns()`, cached as in `run_for` (it only moves in
+    /// `tick`); `u64::MAX` once the daemon parks past the deadline.
+    due_ns: u64,
+    /// Next slowdown report.
+    report_ns: u64,
+    /// Next fabric pump.
+    pump_ns: u64,
+    /// Period of both reports and pumps.
+    period_ns: u64,
+    /// Engine counters at the previous report.
+    prev: EngineStats,
+    /// The latest report, taken by the next arbiter tick.
+    report: Option<TenantReport>,
+    ops: u64,
     accesses: Vec<Access>,
-    done: bool,
+    /// The app has neither finished nor panicked.
+    live: bool,
+    /// Component ids of the daemon (the tenant's first) and the app (its
+    /// last); the reporter and the pump sit in between.
+    daemon_id: u32,
+    app_id: u32,
+    /// The event in progress, to attribute a panic.
+    running: Role,
 }
 
-impl Component for AppComponent {
-    fn next_tick_ns(&self) -> u64 {
-        if self.done {
-            u64::MAX
-        } else {
-            self.engine.borrow().now_ns()
+impl Timeline {
+    /// Runs this tenant's events in `(time, class)` order until the next
+    /// one is at or after `horizon`, or the tenant finishes.
+    fn advance(&mut self, horizon: u64) {
+        while self.live {
+            let periodic = self.report_ns.min(self.due_ns).min(self.pump_ns);
+            // The app's event `(now, APP)` precedes every periodic event
+            // `(t, class < APP)` exactly while `now < t`.
+            self.running = Role::App;
+            let limit = periodic.min(horizon);
+            while self.engine.now_ns() < limit {
+                if !self.app_op() {
+                    return;
+                }
+            }
+            if periodic >= horizon {
+                return;
+            }
+            if self.report_ns == periodic {
+                self.running = Role::Reporter;
+                self.post_report();
+            } else if self.due_ns == periodic {
+                self.running = Role::Daemon;
+                if self.engine.now_ns() >= self.deadline_ns {
+                    // run_for exits its loop before firing a policy due at
+                    // or past the deadline; park instead of ticking.
+                    self.due_ns = u64::MAX;
+                } else {
+                    self.policy.tick(&mut self.engine);
+                    self.due_ns = self.policy.next_due_ns();
+                }
+            } else {
+                self.running = Role::Pump;
+                self.engine.pump_fabric();
+                self.pump_ns += self.period_ns;
+            }
         }
     }
 
-    fn tick(&mut self) -> Control {
-        let mut engine = self.engine.borrow_mut();
-        if engine.now_ns() >= self.deadline_ns {
-            self.done = true;
-            return Control::ParkGroup;
+    /// One iteration of `run_for`'s op loop; false once the tenant
+    /// finishes (deadline reached or workload exhausted).
+    fn app_op(&mut self) -> bool {
+        let now = self.engine.now_ns();
+        if now >= self.deadline_ns {
+            self.live = false;
+            return false;
         }
         self.accesses.clear();
-        let Some(compute_ns) = self.workload.next_op(engine.now_ns(), &mut self.accesses) else {
-            self.done = true;
-            return Control::ParkGroup;
+        let Some(compute_ns) = self.workload.next_op(now, &mut self.accesses) else {
+            self.live = false;
+            return false;
         };
         for a in &self.accesses {
-            engine.access(a.va, a.write);
+            self.engine.access(a.va, a.write);
         }
-        engine.advance_compute(compute_ns);
-        self.ops.set(self.ops.get() + 1);
-        Control::Continue
+        self.engine.advance_compute(compute_ns);
+        self.ops += 1;
+        true
     }
 
-    fn label(&self) -> String {
-        format!("app:{}", self.workload.name())
-    }
-}
-
-/// A policy daemon as a component: fires at `next_due_ns`, exactly like
-/// `run_for`'s inner `while` — including *not* firing once the tenant is
-/// past its deadline (charge-neutrality).
-struct DaemonComponent {
-    engine: Rc<RefCell<Engine>>,
-    policy: Box<dyn PolicyHook>,
-    deadline_ns: u64,
-}
-
-impl Component for DaemonComponent {
-    fn next_tick_ns(&self) -> u64 {
-        self.policy.next_due_ns()
-    }
-
-    fn tick(&mut self) -> Control {
-        let mut engine = self.engine.borrow_mut();
-        if engine.now_ns() >= self.deadline_ns {
-            // run_for exits its loop before firing a policy due at or
-            // past the deadline; park instead of ticking.
-            return Control::Park;
-        }
-        self.policy.tick(&mut engine);
-        Control::Continue
-    }
-
-    fn label(&self) -> String {
-        format!("daemon:{}", self.policy.policy_name())
-    }
-}
-
-/// Pumps a tenant's migration fabric while the app is between ops, so
-/// in-flight copies drain on the virtual clock even during long compute
-/// gaps.
-struct FabricPump {
-    engine: Rc<RefCell<Engine>>,
-    next_ns: u64,
-    period_ns: u64,
-}
-
-impl Component for FabricPump {
-    fn next_tick_ns(&self) -> u64 {
-        self.next_ns
-    }
-
-    fn tick(&mut self) -> Control {
-        self.engine.borrow_mut().pump_fabric();
-        self.next_ns += self.period_ns;
-        Control::Continue
-    }
-
-    fn label(&self) -> String {
-        "fabric-pump".into()
-    }
-}
-
-/// Periodically estimates a tenant's slowdown from engine-counter deltas
-/// (the paper's §4.3 machinery) and posts a [`TenantReport`] to the
-/// mailbox.
-struct ReporterComponent {
-    engine: Rc<RefCell<Engine>>,
-    mailbox: Rc<RefCell<Mailbox>>,
-    tenant: u32,
-    next_ns: u64,
-    period_ns: u64,
-    prev: EngineStats,
-}
-
-impl Component for ReporterComponent {
-    fn next_tick_ns(&self) -> u64 {
-        self.next_ns
-    }
-
-    fn tick(&mut self) -> Control {
-        let engine = self.engine.borrow();
+    /// Estimates the slowdown since the previous report from engine
+    /// counter deltas (the paper's §4.3 machinery).
+    fn post_report(&mut self) {
+        let engine = &self.engine;
         let stats = engine.stats();
-        let fault_ns = engine.config().trap.fault_latency_ns;
-        let report = TenantReport {
-            slowdown_pct: stats.estimated_slowdown_pct(&self.prev, fault_ns),
+        self.report = Some(TenantReport {
+            slowdown_pct: stats
+                .estimated_slowdown_pct(&self.prev, engine.config().trap.fault_latency_ns),
             used_fast_bytes: engine.used_bytes(thermo_mem::Tier::Fast),
             cold_fast_bytes: engine.fast_idle_bytes(),
             reserved_bytes: engine.fabric().in_flight_bytes(),
             displaced_bytes: engine.displaced_bytes(),
             fabric_congested: engine.fabric().busy(),
-        };
+        });
         self.prev = stats;
-        drop(engine);
-        self.mailbox
-            .borrow_mut()
-            .reports
-            .insert(self.tenant, report);
-        self.next_ns += self.period_ns;
-        Control::Continue
+        self.report_ns += self.period_ns;
     }
 
-    fn label(&self) -> String {
-        format!("reporter:{}", self.tenant)
+    /// Id and label of the component running `self.running`.
+    fn running_component(&self) -> (u32, String) {
+        match self.running {
+            Role::Daemon => (
+                self.daemon_id,
+                format!("daemon:{}", self.policy.policy_name()),
+            ),
+            Role::Reporter => (self.daemon_id + 1, format!("reporter:{}", self.tenant)),
+            Role::Pump => (self.app_id - 1, "fabric-pump".into()),
+            Role::App => (self.app_id, format!("app:{}", self.workload.name())),
+        }
     }
 }
 
-/// The arbiter as a component: consumes mailbox reports (all strictly
-/// earlier on the timeline — `CLASS_ARBITER < CLASS_REPORTER`), runs one
-/// rebalance, and applies the decisions to the tenant engines.
-struct ArbiterComponent {
-    engines: Vec<Rc<RefCell<Engine>>>,
-    mailbox: Rc<RefCell<Mailbox>>,
+/// The arbiter and its tick schedule.
+struct Arbitration {
     arbiter: Arbiter,
     next_ns: u64,
     period_ns: u64,
-    trace: Rc<RefCell<Vec<ArbiterEvent>>>,
+    /// Component id (after every tenant's).
+    id: u32,
 }
 
-impl Component for ArbiterComponent {
-    fn next_tick_ns(&self) -> u64 {
-        self.next_ns
-    }
-
-    fn tick(&mut self) -> Control {
-        let mut slowdowns: std::collections::BTreeMap<u32, f64> = std::collections::BTreeMap::new();
-        {
-            let mut mb = self.mailbox.borrow_mut();
-            for (&tenant, report) in &mb.reports {
-                self.arbiter.report(tenant, *report);
-                slowdowns.insert(tenant, report.slowdown_pct);
+impl Arbitration {
+    /// One rebalance at `self.next_ns`: hands the arbiter every report
+    /// posted since the previous tick (in tenant order) and applies its
+    /// decisions to the tenant engines, finished tenants included.
+    fn tick(&mut self, tenants: &mut [Timeline], trace: &mut Vec<ArbiterEvent>) {
+        let mut slowdowns = vec![0.0f64; tenants.len()];
+        for tl in tenants.iter_mut() {
+            if let Some(report) = tl.report.take() {
+                self.arbiter.report(tl.tenant, report);
+                slowdowns[tl.tenant as usize] = report.slowdown_pct;
             }
-            mb.reports.clear();
         }
-        let decisions = self.arbiter.rebalance();
-        let mut trace = self.trace.borrow_mut();
-        for d in decisions {
-            let mut engine = self.engines[d.tenant as usize].borrow_mut();
+        for d in self.arbiter.rebalance() {
+            let engine = &mut tenants[d.tenant as usize].engine;
             let action = match d.kind {
                 DecisionKind::Reclaim => {
                     // Demote cold capacity first, then lower the cap; the
@@ -630,22 +346,16 @@ impl Component for ArbiterComponent {
                 }
                 DecisionKind::Defer => "defer",
             };
-            let slowdown = slowdowns.get(&d.tenant).copied().unwrap_or(0.0);
             trace.push(ArbiterEvent {
                 at_ns: self.next_ns,
                 tenant: u64::from(d.tenant),
                 action: action.to_string(),
                 bytes: d.bytes,
                 grant_after_bytes: d.grant_after,
-                slowdown_centi_pct: (slowdown * 100.0) as u64,
+                slowdown_centi_pct: (slowdowns[d.tenant as usize] * 100.0) as u64,
             });
         }
         self.next_ns += self.period_ns;
-        Control::Continue
-    }
-
-    fn label(&self) -> String {
-        "arbiter".into()
     }
 }
 
@@ -666,19 +376,22 @@ pub struct CoSchedOutcome {
     pub trace: Vec<ArbiterEvent>,
 }
 
-/// Runs `n_tenants` on one discrete-event timeline (single-threaded;
-/// determinism comes from the heap order, not worker scheduling).
+/// Runs `n_tenants` co-scheduled on the calling thread, one `Timeline`
+/// per tenant, advanced window by window between arbiter ticks (see the
+/// module docs).
 ///
 /// Tenant `t` is built from `(t, derive_stream_seed(base_seed, t))` —
 /// the same derivation `thermo-exec` gives sharded jobs, so the two
 /// paths see identical seeds. With `shared_pool_bytes == 0` in tenant
 /// 0's [`SchedConfig`] the run is charge-neutral to the sharded path;
-/// otherwise reporter/arbiter components arbitrate the shared fast tier.
+/// otherwise per-tenant reporters and the arbiter share the fast tier.
+/// `fuzz_seed` permutes the order in which tenants advance through each
+/// window, which must not change the outcome.
 ///
 /// # Errors
 ///
-/// Returns [`SchedError`] when any component panics (the loop drains
-/// healthy groups first; the lowest panicking component id is reported).
+/// Returns [`SchedError`] when any component panics (the run drains
+/// healthy tenants first; the lowest panicking component id is reported).
 pub fn run_tenants_coscheduled<F>(
     n_tenants: usize,
     duration_ns: u64,
@@ -689,13 +402,10 @@ pub fn run_tenants_coscheduled<F>(
 where
     F: Fn(u64, u64) -> (Engine, Box<dyn Workload>, Box<dyn PolicyHook>),
 {
-    let mut scheduler = Scheduler::new(fuzz_seed);
-    let mailbox = Rc::new(RefCell::new(Mailbox::default()));
-    let trace = Rc::new(RefCell::new(Vec::new()));
-    let mut engines: Vec<Rc<RefCell<Engine>>> = Vec::with_capacity(n_tenants);
-    let mut tenants: Vec<(u64, u64, Rc<Cell<u64>>)> = Vec::with_capacity(n_tenants);
+    let mut tenants: Vec<Timeline> = Vec::with_capacity(n_tenants);
     let mut pool_cfg: Option<SchedConfig> = None;
     let mut arbiter: Option<Arbiter> = None;
+    let mut next_id = 0u32;
 
     for t in 0..n_tenants {
         // thermo-lint: allow(rng_containment, reason = "co-scheduled tenants must receive the exact per-shard seeds the thermo-exec pool derives (sched_equivalence pins this)")
@@ -718,97 +428,103 @@ where
         }
         workload.init(&mut engine);
         let start_ns = engine.now_ns();
-        let deadline_ns = start_ns.saturating_add(duration_ns);
-        let fabric_enabled = engine.config().fabric.enabled;
-        let prev = engine.stats();
-        let engine = Rc::new(RefCell::new(engine));
-        let ops = Rc::new(Cell::new(0u64));
-
-        scheduler.add(
-            CLASS_DAEMON,
-            t as u32,
-            false,
-            Box::new(DaemonComponent {
-                engine: Rc::clone(&engine),
-                policy,
-                deadline_ns,
-            }),
-        );
-        if shared {
-            scheduler.add(
-                CLASS_REPORTER,
-                t as u32,
-                false,
-                Box::new(ReporterComponent {
-                    engine: Rc::clone(&engine),
-                    mailbox: Rc::clone(&mailbox),
-                    tenant: t as u32,
-                    next_ns: start_ns + sched_cfg.report_period_ns,
-                    period_ns: sched_cfg.report_period_ns,
-                    prev,
-                }),
-            );
-            if fabric_enabled {
-                scheduler.add(
-                    CLASS_FABRIC,
-                    t as u32,
-                    false,
-                    Box::new(FabricPump {
-                        engine: Rc::clone(&engine),
-                        next_ns: start_ns + sched_cfg.report_period_ns,
-                        period_ns: sched_cfg.report_period_ns,
-                    }),
-                );
-            }
-        }
-        scheduler.add(
-            CLASS_APP,
-            t as u32,
-            true,
-            Box::new(AppComponent {
-                engine: Rc::clone(&engine),
-                workload,
-                deadline_ns,
-                ops: Rc::clone(&ops),
-                accesses: Vec::with_capacity(16),
-                done: false,
-            }),
-        );
-        engines.push(engine);
-        tenants.push((seed, start_ns, ops));
+        let first_report = start_ns + sched_cfg.report_period_ns;
+        let pumped = shared && engine.config().fabric.enabled;
+        let daemon_id = next_id;
+        next_id += 2 + u32::from(shared) + u32::from(pumped);
+        tenants.push(Timeline {
+            due_ns: policy.next_due_ns(),
+            report_ns: if shared { first_report } else { u64::MAX },
+            pump_ns: if pumped { first_report } else { u64::MAX },
+            period_ns: sched_cfg.report_period_ns,
+            prev: engine.stats(),
+            report: None,
+            tenant: t as u32,
+            seed,
+            start_ns,
+            deadline_ns: start_ns.saturating_add(duration_ns),
+            ops: 0,
+            accesses: Vec::with_capacity(16),
+            live: true,
+            daemon_id,
+            app_id: next_id - 1,
+            running: Role::App,
+            engine,
+            workload,
+            policy,
+        });
     }
 
-    if let Some(arbiter) = arbiter {
+    let mut arbitration = arbiter.map(|arbiter| {
         let period_ns = pool_cfg
             .expect("pool config set with arbiter")
             .rebalance_period_ns;
-        scheduler.add(
-            CLASS_ARBITER,
-            GROUP_GLOBAL,
-            false,
-            Box::new(ArbiterComponent {
-                engines: engines.clone(),
-                mailbox: Rc::clone(&mailbox),
-                arbiter,
-                next_ns: period_ns,
-                period_ns,
-                trace: Rc::clone(&trace),
-            }),
-        );
+        Arbitration {
+            arbiter,
+            next_ns: period_ns,
+            period_ns,
+            id: next_id,
+        }
+    });
+    let mut fuzz = fuzz_seed.map(SmallRng::seed_from_u64);
+    let mut order: Vec<u32> = (0..n_tenants as u32).collect();
+    let mut panics: Vec<SchedError> = Vec::new();
+    let mut trace = Vec::new();
+
+    loop {
+        let horizon = arbitration.as_ref().map_or(u64::MAX, |a| a.next_ns);
+        if let Some(rng) = &mut fuzz {
+            decide::permute_batch(rng, &mut order);
+        }
+        for &t in &order {
+            let tl = &mut tenants[t as usize];
+            if !tl.live {
+                continue;
+            }
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| tl.advance(horizon))) {
+                tl.live = false;
+                let (component_id, label) = tl.running_component();
+                panics.push(SchedError::ComponentPanicked {
+                    component_id,
+                    group: t,
+                    label,
+                    message: panic_message(payload),
+                });
+            }
+        }
+        if !tenants.iter().any(|tl| tl.live) {
+            break;
+        }
+        let Some(a) = &mut arbitration else {
+            break;
+        };
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| a.tick(&mut tenants, &mut trace))) {
+            panics.push(SchedError::ComponentPanicked {
+                component_id: a.id,
+                group: GROUP_GLOBAL,
+                label: "arbiter".into(),
+                message: panic_message(payload),
+            });
+            arbitration = None;
+        }
     }
 
-    scheduler.run()?;
-
+    if let Some(e) = panics.into_iter().min_by_key(|e| {
+        let SchedError::ComponentPanicked { component_id, .. } = e;
+        *component_id
+    }) {
+        return Err(e);
+    }
     let mut shards = Vec::with_capacity(n_tenants);
     let mut pressure = Vec::with_capacity(n_tenants);
-    for (t, (seed, start_ns, ops)) in tenants.into_iter().enumerate() {
-        let engine = engines[t].borrow();
+    for tl in tenants {
+        let engine = &tl.engine;
         shards.push(ShardOutcome {
-            shard_id: t as u64,
-            seed,
+            shard_id: u64::from(tl.tenant),
+            seed: tl.seed,
             outcome: RunOutcome {
-                ops: ops.get(),
-                start_ns,
+                ops: tl.ops,
+                start_ns: tl.start_ns,
                 end_ns: engine.now_ns(),
             },
             stats: engine.stats(),
@@ -819,162 +535,6 @@ where
     Ok(CoSchedOutcome {
         shards,
         pressure,
-        trace: Rc::try_unwrap(trace)
-            .map(RefCell::into_inner)
-            .unwrap_or_else(|rc| rc.borrow().clone()),
+        trace,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Ticks at `times`, recording `(id, time)` into a shared log.
-    struct Recorder {
-        id: u32,
-        times: Vec<u64>,
-        at: usize,
-        log: Rc<RefCell<Vec<(u32, u64)>>>,
-    }
-
-    impl Component for Recorder {
-        fn next_tick_ns(&self) -> u64 {
-            self.times.get(self.at).copied().unwrap_or(u64::MAX)
-        }
-
-        fn tick(&mut self) -> Control {
-            let t = self.times[self.at];
-            self.log.borrow_mut().push((self.id, t));
-            self.at += 1;
-            if self.at == self.times.len() {
-                Control::Park
-            } else {
-                Control::Continue
-            }
-        }
-    }
-
-    fn recorders(
-        sched: &mut Scheduler,
-        log: &Rc<RefCell<Vec<(u32, u64)>>>,
-        specs: &[(u8, &[u64])],
-    ) {
-        for (i, (class, times)) in specs.iter().enumerate() {
-            sched.add(
-                *class,
-                i as u32,
-                true,
-                Box::new(Recorder {
-                    id: i as u32,
-                    times: times.to_vec(),
-                    at: 0,
-                    log: Rc::clone(log),
-                }),
-            );
-        }
-    }
-
-    #[test]
-    fn events_fire_in_time_class_id_order() {
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let mut s = Scheduler::new(None);
-        recorders(
-            &mut s,
-            &log,
-            &[
-                (CLASS_APP, &[10, 30][..]),
-                (CLASS_DAEMON, &[10, 20][..]),
-                (CLASS_APP, &[5][..]),
-            ],
-        );
-        s.run().unwrap();
-        // t=5: comp 2; t=10: daemon (class 2) before app (class 4);
-        // t=20 daemon; t=30 app.
-        assert_eq!(
-            *log.borrow(),
-            vec![(2, 5), (1, 10), (0, 10), (1, 20), (0, 30)]
-        );
-    }
-
-    #[test]
-    fn same_key_ties_break_by_component_id() {
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let mut s = Scheduler::new(None);
-        recorders(
-            &mut s,
-            &log,
-            &[
-                (CLASS_APP, &[7][..]),
-                (CLASS_APP, &[7][..]),
-                (CLASS_APP, &[7][..]),
-            ],
-        );
-        s.run().unwrap();
-        assert_eq!(*log.borrow(), vec![(0, 7), (1, 7), (2, 7)]);
-    }
-
-    #[test]
-    fn fuzz_permutes_only_within_equal_time_class_batches() {
-        // Classes differ at t=7: fuzz must never reorder across classes.
-        for seed in [1u64, 2, 3, 4, 5] {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            let mut s = Scheduler::new(Some(seed));
-            recorders(
-                &mut s,
-                &log,
-                &[
-                    (CLASS_APP, &[7][..]),
-                    (CLASS_DAEMON, &[7][..]),
-                    (CLASS_APP, &[7][..]),
-                ],
-            );
-            s.run().unwrap();
-            let order: Vec<u32> = log.borrow().iter().map(|&(id, _)| id).collect();
-            assert_eq!(order[0], 1, "daemon class fires first regardless of fuzz");
-            let mut apps = order[1..].to_vec();
-            apps.sort_unstable();
-            assert_eq!(apps, vec![0, 2], "apps fire once each, any order");
-        }
-    }
-
-    #[test]
-    fn park_group_stops_the_whole_group() {
-        struct Parker {
-            log: Rc<RefCell<Vec<(u32, u64)>>>,
-        }
-        impl Component for Parker {
-            fn next_tick_ns(&self) -> u64 {
-                15
-            }
-            fn tick(&mut self) -> Control {
-                self.log.borrow_mut().push((99, 15));
-                Control::ParkGroup
-            }
-        }
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let mut s = Scheduler::new(None);
-        // Group 0: a parker at t=15 and a recorder that would tick at 10,
-        // 20, 30 — only the 10 fires before the group parks.
-        s.add(
-            CLASS_DAEMON,
-            0,
-            false,
-            Box::new(Recorder {
-                id: 0,
-                times: vec![10, 20, 30],
-                at: 0,
-                log: Rc::clone(&log),
-            }),
-        );
-        s.add(
-            CLASS_APP,
-            0,
-            true,
-            Box::new(Parker {
-                log: Rc::clone(&log),
-            }),
-        );
-        s.run().unwrap();
-        assert_eq!(*log.borrow(), vec![(0, 10), (99, 15)]);
-    }
 }

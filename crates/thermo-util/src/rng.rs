@@ -45,6 +45,45 @@ pub fn derive_stream_seed(base: u64, stream: u64) -> u64 {
     splitmix64(&mut state)
 }
 
+/// Parses a seed: decimal, or hexadecimal after `0x`, with optional `_`
+/// digit separators between digits (`0xa5_2017`). Anything else —
+/// empty, signed, spaced, out of range — is `None`.
+pub fn parse_seed(s: &str) -> Option<u64> {
+    if s.starts_with('_') || s.ends_with('_') {
+        return None;
+    }
+    let digits: String = s.chars().filter(|&c| c != '_').collect();
+    let (radix, body) = match digits
+        .strip_prefix("0x")
+        .or_else(|| digits.strip_prefix("0X"))
+    {
+        Some(hex) => (16, hex),
+        None => (10, digits.as_str()),
+    };
+    if body.is_empty() || !body.chars().all(|c| c.is_digit(radix)) {
+        return None;
+    }
+    u64::from_str_radix(body, radix).ok()
+}
+
+/// Reads a seed knob from the environment variable `var` (unset = `None`).
+///
+/// # Panics
+///
+/// Panics, naming the variable and its value, when it is set but is not a
+/// [`parse_seed`] seed — a typo must not silently turn a fuzz run into an
+/// unfuzzed one.
+pub fn seed_from_env(var: &str) -> Option<u64> {
+    let value = std::env::var_os(var)?;
+    let text = value.to_string_lossy();
+    match parse_seed(&text) {
+        Some(seed) => Some(seed),
+        None => panic!(
+            "{var}={text:?} is not a seed (decimal, or hex with a 0x prefix; `_` separators allowed)"
+        ),
+    }
+}
+
 /// A small, fast, deterministic PRNG (xoshiro256**).
 ///
 /// Drop-in for the subset of `rand::rngs::SmallRng` the workspace relies
@@ -308,6 +347,37 @@ pub mod seq {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn seeds_parse_in_decimal_and_hex() {
+        assert_eq!(parse_seed("0xa5_2017"), Some(0xa5_2017));
+        assert_eq!(parse_seed("0x1f"), Some(31));
+        assert_eq!(parse_seed("0XFF"), Some(255));
+        assert_eq!(parse_seed("3735928559"), Some(0xdead_beef));
+        assert_eq!(parse_seed("1_000"), Some(1000));
+        assert_eq!(parse_seed("0"), Some(0));
+        assert_eq!(parse_seed("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(parse_seed("0xffff_ffff_ffff_ffff"), Some(u64::MAX));
+        for bad in [
+            "",
+            "-1",
+            "+1",
+            "abc",
+            "1f",
+            "0x",
+            "0x_",
+            "0xg1",
+            "1.5",
+            "_1",
+            "1_",
+            " 7",
+            "7 ",
+            "18446744073709551616",
+            "0x1_0000_0000_0000_0000",
+        ] {
+            assert_eq!(parse_seed(bad), None, "{bad:?}");
+        }
+    }
 
     #[test]
     fn stream_seeds_are_pure_and_pairwise_distinct() {

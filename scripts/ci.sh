@@ -196,30 +196,42 @@ THERMO_JOBS=1 scripts/golden.sh check tenants_shared
 echo "==> golden determinism cross-check (THERMO_JOBS=1, scen_fleet scen_storm)"
 THERMO_JOBS=1 scripts/golden.sh check scen_fleet scen_storm
 
-# Scheduler ordering-fuzz sweep: THERMO_SCHED_FUZZ permutes same-
-# (time, class) pop-order batches under a seeded RNG. The co-scheduled
-# goldens must be byte-identical under every seed — components sharing a
-# tick are required to commute (tests/sched_fuzz.rs sweeps the whole
-# registry; here both experiments that actually share a timeline are
-# re-checked against their committed goldens: tenants_shared's three
-# tenants and the scenario storm's 32 mixed-policy tenants).
+# Scheduler ordering-fuzz sweep: THERMO_SCHED_FUZZ permutes, under a
+# seeded RNG, the order in which co-scheduled tenants advance within
+# each arbiter window. Tenants own disjoint engines, so the co-scheduled
+# goldens must stay byte-identical under every seed (tests/sched_fuzz.rs
+# sweeps the whole registry in-process). Here both experiments that
+# co-schedule tenants — tenants_shared's three tenants and the scenario
+# storm's 32 mixed-policy tenants — are blessed into a temporary tree and
+# their bytes compared against the committed goldens.
 for fuzz_seed in 1 2 3735928559 6840227782638526189; do
-  echo "==> scheduler ordering-fuzz check (THERMO_SCHED_FUZZ=$fuzz_seed, tenants_shared scen_storm)"
-  THERMO_SCHED_FUZZ=$fuzz_seed scripts/golden.sh check tenants_shared scen_storm
+  echo "==> scheduler ordering-fuzz byte check (THERMO_SCHED_FUZZ=$fuzz_seed, tenants_shared scen_storm)"
+  fuzzdir="$PWD/$bdir/sched-fuzz-$fuzz_seed"
+  rm -rf "$fuzzdir"
+  THERMO_SCHED_FUZZ=$fuzz_seed THERMO_GOLDEN_DIR="$fuzzdir" \
+    scripts/golden.sh bless tenants_shared scen_storm >/dev/null
+  for name in tenants_shared scen_storm; do
+    cmp "$fuzzdir/$name.json" "goldens/$name.json" || {
+      echo "FAIL: goldens/$name.json is not byte-identical under THERMO_SCHED_FUZZ=$fuzz_seed" >&2
+      exit 1
+    }
+  done
 done
 
 # Executor worker-count cross-check at the binary boundary: the golden
 # sweeps above already check every experiment against its golden under
 # THERMO_JOBS workers, but tolerance bands could in principle mask a
-# sub-band scheduling leak. Re-run the heaviest sharded experiment with
-# one worker and with an oversubscribed pool and compare the emitted
-# artifact BYTES directly — the work-stealing merge (DESIGN.md §15) must
-# make worker count entirely unobservable.
+# sub-band scheduling leak. Bless the heaviest sharded experiment with
+# one worker and with an oversubscribed pool into temporary trees and
+# compare the artifact BYTES directly — the work-stealing merge
+# (DESIGN.md §15) must make worker count entirely unobservable.
 echo "==> executor worker-count cross-check (scen_fleet, THERMO_JOBS=1 vs 8, byte compare)"
-THERMO_JOBS=1 scripts/golden.sh check scen_fleet >/dev/null
-cp target/experiments/scen_fleet.artifact.json "$bdir/scen_fleet.jobs1.artifact.json"
-THERMO_JOBS=8 scripts/golden.sh check scen_fleet >/dev/null
-cmp "$bdir/scen_fleet.jobs1.artifact.json" target/experiments/scen_fleet.artifact.json
+for jobs in 1 8; do
+  rm -rf "$PWD/$bdir/fleet-jobs$jobs"
+  THERMO_JOBS=$jobs THERMO_GOLDEN_DIR="$PWD/$bdir/fleet-jobs$jobs" \
+    scripts/golden.sh bless scen_fleet >/dev/null
+done
+cmp "$bdir/fleet-jobs1/scen_fleet.json" "$bdir/fleet-jobs8/scen_fleet.json"
 echo "    byte-identical"
 
 # Steal-order fuzz sweep: THERMO_EXEC_FUZZ=<seed> makes every worker

@@ -3,11 +3,13 @@
 //! tier too full to take promotions, THP disabled, and OS noise flushing
 //! the TLB.
 
+use std::cell::Cell;
+use std::rc::Rc;
 use thermostat_suite::core::{Daemon, ThermostatConfig};
 use thermostat_suite::mem::{PageSize, Tier, VirtAddr};
 use thermostat_suite::sim::{
-    run_for, Access, Component, Control, Engine, FabricConfig, OpOutcome, PlanOp, PolicyPlan,
-    SchedError, Scheduler, SimConfig, Workload,
+    run_for, run_tenants_coscheduled, Access, Engine, FabricConfig, OpOutcome, PlanOp, PolicyHook,
+    PolicyPlan, SchedError, SimConfig, Workload,
 };
 
 /// 90% of traffic on the first page, the rest uniform over the first
@@ -242,133 +244,125 @@ fn oom_during_commit_migrate_is_a_clean_abort() {
     assert_eq!(engine.footprint_breakdown().total(), engine.rss_bytes());
 }
 
-/// Ticks every `period_ns` until `deadline_ns`, counting ticks, then
-/// parks its whole group — the shape of a tenant app component.
-struct Pacer {
-    now_ns: u64,
-    period_ns: u64,
-    deadline_ns: u64,
-    ticks: std::rc::Rc<std::cell::Cell<u64>>,
-}
-
-impl Component for Pacer {
-    fn next_tick_ns(&self) -> u64 {
-        self.now_ns + self.period_ns
-    }
-
-    fn tick(&mut self) -> Control {
-        self.now_ns += self.period_ns;
-        self.ticks.set(self.ticks.get() + 1);
-        if self.now_ns >= self.deadline_ns {
-            Control::ParkGroup
-        } else {
-            Control::Continue
-        }
-    }
-
-    fn label(&self) -> String {
-        "pacer".into()
-    }
-}
-
-/// Panics at `at_ns` — an injected component fault.
-struct Poisoned {
-    at_ns: u64,
+/// A policy that ticks every millisecond of absolute virtual time and,
+/// when `panic_at_ns` is set, panics at that tick — an injected fault.
+struct Paced {
+    due_ns: u64,
+    panic_at_ns: Option<u64>,
     message: &'static str,
 }
 
-impl Component for Poisoned {
-    fn next_tick_ns(&self) -> u64 {
-        self.at_ns
+impl PolicyHook for Paced {
+    fn next_due_ns(&self) -> u64 {
+        self.due_ns
     }
 
-    fn tick(&mut self) -> Control {
-        panic!("{}", self.message);
+    fn tick(&mut self, _engine: &mut Engine) {
+        if self.panic_at_ns == Some(self.due_ns) {
+            panic!("{}", self.message);
+        }
+        self.due_ns += 1_000_000;
     }
 
-    fn label(&self) -> String {
-        "poisoned".into()
+    fn policy_name(&self) -> &str {
+        if self.panic_at_ns.is_some() {
+            "poisoned"
+        } else {
+            "paced"
+        }
+    }
+}
+
+/// [`ColdHeavy`] that records its start time and the time of its last op.
+struct Traced {
+    inner: ColdHeavy,
+    start_ns: Rc<Cell<u64>>,
+    last_op_ns: Rc<Cell<u64>>,
+}
+
+impl Workload for Traced {
+    fn name(&self) -> &str {
+        "traced"
+    }
+
+    fn init(&mut self, engine: &mut Engine) {
+        self.inner.init(engine);
+        self.start_ns.set(engine.now_ns());
+    }
+
+    fn next_op(&mut self, now: u64, acc: &mut Vec<Access>) -> Option<u64> {
+        self.last_op_ns.set(now);
+        self.inner.next_op(now, acc)
     }
 }
 
 #[test]
 fn poisoned_component_parks_its_group_and_drains_the_rest() {
-    // Mirrors thermo-exec's panic contract on the event loop: a panicking
-    // component kills only its own group, every healthy group runs to its
-    // deadline, and the error names the lowest panicking component id.
-    use std::cell::Cell;
-    use std::rc::Rc;
-
+    // Mirrors thermo-exec's panic contract on the co-scheduled runner: a
+    // panicking component stops only its own tenant, every healthy
+    // tenant runs to its deadline, and the error names the lowest
+    // panicking component id.
     let ms = 1_000_000u64;
-    let mut sched = Scheduler::new(None);
-    let healthy = Rc::new(Cell::new(0u64));
-    let sibling = Rc::new(Cell::new(0u64));
+    let duration_ns = 10 * ms;
+    let starts: Vec<Rc<Cell<u64>>> = (0..3).map(|_| Rc::default()).collect();
+    let last_ops: Vec<Rc<Cell<u64>>> = (0..3).map(|_| Rc::default()).collect();
+    // Tenant 1's daemon panics at 2ms; tenant 2's at 5ms, a later fault
+    // whose higher id must not be the one reported. Arbitration is off,
+    // so every tenant registers a daemon then an app: tenant t's daemon
+    // is component 2t.
+    let faults = [
+        None,
+        Some((2 * ms, "injected fault in tenant 1")),
+        Some((5 * ms, "injected fault in tenant 2")),
+    ];
+    let build = |t: u64, _seed: u64| -> (Engine, Box<dyn Workload>, Box<dyn PolicyHook>) {
+        let t = t as usize;
+        let fault = faults[t];
+        (
+            Engine::new(SimConfig::paper_defaults(64 << 20, 64 << 20)),
+            Box::new(Traced {
+                inner: ColdHeavy::new(4),
+                start_ns: Rc::clone(&starts[t]),
+                last_op_ns: Rc::clone(&last_ops[t]),
+            }),
+            Box::new(Paced {
+                due_ns: ms,
+                panic_at_ns: fault.map(|f| f.0),
+                message: fault.map_or("", |f| f.1),
+            }),
+        )
+    };
 
-    // id 0, group 0: a healthy tenant running to a 10ms deadline.
-    sched.add(
-        4,
-        0,
-        true,
-        Box::new(Pacer {
-            now_ns: 0,
-            period_ns: ms,
-            deadline_ns: 10 * ms,
-            ticks: Rc::clone(&healthy),
-        }),
+    let err = run_tenants_coscheduled(3, duration_ns, 7, None, build)
+        .err()
+        .expect("injected faults must surface");
+    assert_eq!(
+        err,
+        SchedError::ComponentPanicked {
+            component_id: 2,
+            group: 1,
+            label: "daemon:poisoned".into(),
+            message: "injected fault in tenant 1".into(),
+        },
+        "lowest panicking id wins, with its label and captured payload"
     );
-    // id 1, group 1: panics at 2ms…
-    sched.add(
-        4,
-        1,
-        true,
-        Box::new(Poisoned {
-            at_ns: 2 * ms,
-            message: "injected fault in tenant 1",
-        }),
-    );
-    // …id 2, group 1: its sibling daemon (class 2 runs before class 4 at
-    // equal times, so it sees exactly the 1ms and 2ms ticks).
-    sched.add(
-        2,
-        1,
-        false,
-        Box::new(Pacer {
-            now_ns: 0,
-            period_ns: ms,
-            deadline_ns: 10 * ms,
-            ticks: Rc::clone(&sibling),
-        }),
-    );
-    // id 3, group 2: a second, later fault — the error must still report
-    // the lowest id.
-    sched.add(
-        4,
-        2,
-        true,
-        Box::new(Poisoned {
-            at_ns: 5 * ms,
-            message: "injected fault in tenant 2",
-        }),
-    );
-
-    let err = sched.run().expect_err("injected faults must surface");
-    let SchedError::ComponentPanicked {
-        component_id,
-        group,
-        label,
-        message,
-    } = err;
-    assert_eq!(component_id, 1, "lowest panicking id wins");
-    assert_eq!(group, 1);
-    assert_eq!(label, "poisoned");
+    // The healthy tenant drained to its deadline despite both faults: its
+    // last op started less than 0.1ms before the deadline.
+    let deadline = starts[0].get() + duration_ns;
     assert!(
-        message.contains("injected fault in tenant 1"),
-        "panic payload must be captured, got: {message}"
+        last_ops[0].get() < deadline && last_ops[0].get() + ms / 10 > deadline,
+        "healthy tenant must run to completion: last op at {}ns, deadline {deadline}ns",
+        last_ops[0].get()
     );
-    // The healthy group drained to its full deadline despite both faults.
-    assert_eq!(healthy.get(), 10, "healthy tenant must run to completion");
-    // The sibling died with its group: ticks at 1ms and 2ms, nothing after.
-    assert_eq!(sibling.get(), 2, "poisoned group must park atomically");
+    // Each poisoned tenant stopped with its daemon: no op at or after
+    // the faulting tick.
+    for (t, at) in [(1, 2 * ms), (2, 5 * ms)] {
+        let last = last_ops[t].get();
+        assert!(
+            last < at && last + ms / 10 > at,
+            "tenant {t} must stop at its fault ({at}ns), last op at {last}ns"
+        );
+    }
 }
 
 #[test]
