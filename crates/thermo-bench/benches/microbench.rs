@@ -4,8 +4,11 @@
 //! processes hundreds of millions of accesses per experiment).
 
 use thermo_mem::{PageSize, Pfn, Tier, Vpn};
-use thermo_sim::{CommitStatus, Engine, Fabric, FabricConfig, Llc, LlcConfig, SimConfig};
-use thermo_util::bench::{black_box, Criterion};
+use thermo_sim::{
+    CommitStatus, Engine, Fabric, FabricConfig, Llc, LlcConfig, OpOutcome, PlanOp, PolicyPlan,
+    SimConfig,
+};
+use thermo_util::bench::{black_box, BatchSize, Criterion};
 use thermo_util::rng::SmallRng;
 use thermo_util::rng::{Rng, SeedableRng};
 use thermo_util::{criterion_group, criterion_main};
@@ -78,6 +81,43 @@ fn bench_llc(c: &mut Criterion) {
             let line: u64 = rng.gen_range(0..1_000_000);
             black_box(llc.access(line))
         })
+    });
+}
+
+fn bench_demote(c: &mut Criterion) {
+    // One daemon plan that demotes 30 split huge pages, as a Thermostat
+    // period on `tpcc_scan` does, against that workload's 16MB LLC, then
+    // the access that follows it. Each demotion drops its old frame's
+    // lines from the LLC and poisons 512 children; per-page sweeps of the
+    // 262,144-word tag store would cost 30 times one sweep.
+    const PAGES: u64 = 30;
+    let setup = || {
+        let mut cfg = SimConfig::paper_defaults(128 << 20, 128 << 20);
+        cfg.llc.size_bytes = 16 << 20;
+        let mut engine = Engine::new(cfg);
+        let base = engine.mmap(PAGES << 21, true, true, false, "heap");
+        let mut plan = PolicyPlan::new();
+        for p in 0..PAGES {
+            let page = base + (p << 21);
+            // One line per 4KB frame, so the sweep has lines to drop.
+            for f in 0..512u64 {
+                engine.access(page + f * 4096, false);
+            }
+            engine.split_huge(page.vpn()).expect("huge page");
+            plan.push(PlanOp::DemoteHuge { vpn: page.vpn() });
+        }
+        (engine, plan, base)
+    };
+    c.bench_function("demote_30_huge_pages_16mb_llc", |b| {
+        b.iter_batched(
+            setup,
+            |(mut engine, plan, base)| {
+                let receipt = engine.apply_plan(&plan);
+                assert!(receipt.outcomes().iter().all(|o| *o == OpOutcome::Done));
+                black_box(engine.access(base, false))
+            },
+            BatchSize::PerIteration,
+        )
     });
 }
 
@@ -215,6 +255,7 @@ criterion_group!(
     bench_pagetable,
     bench_scan,
     bench_llc,
+    bench_demote,
     bench_engine_access,
     bench_classifier,
     bench_fabric,

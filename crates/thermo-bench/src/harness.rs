@@ -13,6 +13,7 @@ use thermo_sim::{
     run_for, run_for_instrumented, Engine, LatencyHistogram, NoPolicy, PolicyHook, RunOutcome,
     SimConfig,
 };
+use thermo_util::rng::count_from_env;
 use thermo_workloads::{AppConfig, AppId};
 use thermostat::{Daemon, DaemonStats, PeriodRecord, ThermostatConfig};
 
@@ -38,11 +39,17 @@ pub struct EvalParams {
 }
 
 impl EvalParams {
-    /// Paper-shaped defaults with environment overrides applied.
+    /// Paper-shaped defaults with environment overrides applied
+    /// (`THERMO_SCALE`, `THERMO_DURATION_SECS`, `THERMO_PERIOD_SECS`).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the variable and its value, when one of them is set
+    /// but is not a non-negative decimal integer.
     pub fn from_env() -> Self {
-        let scale = env_u64("THERMO_SCALE", 16);
-        let duration = env_u64("THERMO_DURATION_SECS", 120);
-        let period = env_u64("THERMO_PERIOD_SECS", 3);
+        let scale = count_from_env("THERMO_SCALE").unwrap_or(16);
+        let duration = count_from_env("THERMO_DURATION_SECS").unwrap_or(120);
+        let period = count_from_env("THERMO_PERIOD_SECS").unwrap_or(3);
         Self {
             scale,
             duration_ns: duration * 1_000_000_000,
@@ -168,13 +175,6 @@ thermo_util::json_struct!(EvalParams {
     thp,
     track_true_access,
 });
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Everything a harness binary typically reports about one run.
 #[derive(Debug, Clone)]

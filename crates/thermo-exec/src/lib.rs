@@ -164,13 +164,20 @@ impl ExecConfig {
 }
 
 /// Reads the worker count from `THERMO_JOBS` (any positive integer),
-/// defaulting to [`std::thread::available_parallelism`] (1 if unknown).
+/// defaulting to [`std::thread::available_parallelism`] (1 if unknown)
+/// when unset or `0`.
+///
+/// # Panics
+///
+/// Panics when the variable is set but is not a count (see
+/// [`thermo_util::rng::count_from_env`]).
 pub fn jobs_from_env() -> usize {
-    std::env::var("THERMO_JOBS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
+    thermo_util::rng::count_from_env("THERMO_JOBS")
         .filter(|&n| n > 0)
-        .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()))
+        .map_or_else(
+            || thread::available_parallelism().map_or(1, |n| n.get()),
+            |n| n as usize,
+        )
 }
 
 /// Reads the steal-order fuzz seed from `THERMO_EXEC_FUZZ` (unset means
@@ -200,12 +207,12 @@ pub fn exec_fuzz_from_env() -> Option<u64> {
 /// Artifacts are byte-identical for every value (shard boundaries and merge
 /// order are fixed, never worker-derived); see
 /// `tests/scan_parallel_determinism.rs`.
+///
+/// # Panics
+///
+/// Panics when the variable is set but is not a count.
 pub fn scan_jobs_from_env() -> usize {
-    std::env::var("THERMO_SCAN_JOBS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
+    thermo_util::rng::count_from_env("THERMO_SCAN_JOBS").map_or(1, |n| n.max(1) as usize)
 }
 
 /// Why a batch failed.

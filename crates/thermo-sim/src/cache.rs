@@ -8,7 +8,7 @@
 //! Modelling the LLC lets the harnesses verify that claim (and lets the
 //! Figure 2 study measure true memory access rates).
 
-use thermo_mem::{Pfn, CACHE_LINE_BYTES};
+use thermo_mem::{Pfn, CACHE_LINE_BYTES, HUGE_PAGE_BYTES};
 
 /// Geometry and latency of the LLC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,28 +63,12 @@ fn pack_line(line: u64) -> u64 {
     (line << 1) | LINE_VALID
 }
 
-/// Hit/miss statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LlcStats {
-    /// Hits.
-    pub hits: u64,
-    /// Misses.
-    pub misses: u64,
-    /// Lines invalidated by frame invalidations.
-    pub invalidations: u64,
-}
-
-impl LlcStats {
-    /// Miss ratio in `[0,1]`; 0 with no accesses.
-    pub fn miss_ratio(&self) -> f64 {
-        let n = self.hits + self.misses;
-        if n == 0 {
-            0.0
-        } else {
-            self.misses as f64 / n as f64
-        }
-    }
-}
+// Deferred bulk invalidation works on 2MB-aligned physical regions of
+// `REGION_LINES` lines. A 31-bit line number names one of `MAX_REGIONS`
+// regions; no tag can hold a line of a region past those.
+const REGION_SHIFT: u32 = (HUGE_PAGE_BYTES / CACHE_LINE_BYTES).trailing_zeros();
+const REGION_LINES: u64 = 1 << REGION_SHIFT;
+const MAX_REGIONS: usize = 1 << (31 - REGION_SHIFT);
 
 /// The last-level cache.
 pub struct Llc {
@@ -103,14 +87,21 @@ pub struct Llc {
     /// outcomes and victim choices are identical with or without it.
     mru: Vec<u32>,
     tick: u64,
-    stats: LlcStats,
+    /// Bitmap of 2MB regions whose lines [`invalidate_frames`] dropped but
+    /// the tag store still holds valid, as long as the highest region
+    /// marked needs; empty when nothing is pending. The next [`access`]
+    /// clears them all in one sweep before it reads a tag.
+    ///
+    /// [`invalidate_frames`]: Self::invalidate_frames
+    /// [`access`]: Self::access
+    pending: Vec<u64>,
 }
 
 impl std::fmt::Debug for Llc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Llc")
             .field("config", &self.config)
-            .field("stats", &self.stats)
+            .field("pending", &!self.pending.is_empty())
             .finish()
     }
 }
@@ -127,7 +118,7 @@ impl Llc {
             data: vec![0; sets * config.ways],
             mru: vec![0; sets],
             tick: 0,
-            stats: LlcStats::default(),
+            pending: Vec::new(),
         }
     }
 
@@ -147,8 +138,12 @@ impl Llc {
 
     /// Accesses the cache line containing physical line number `line`
     /// (a physical address divided by 64). Returns `true` on hit; on miss
-    /// the line is filled, evicting the set's LRU victim.
+    /// the line is filled, evicting the set's LRU victim. Pending region
+    /// invalidations are applied first.
     pub fn access(&mut self, line: u64) -> bool {
+        if !self.pending.is_empty() {
+            self.sweep_pending();
+        }
         if self.tick >= STAMP_MASK {
             self.renormalize();
         }
@@ -165,7 +160,6 @@ impl Llc {
         let h = self.mru[set] as usize;
         if h < ways && row[h] >> STAMP_BITS == want {
             row[h] = (want << STAMP_BITS) | tick;
-            self.stats.hits += 1;
             return true;
         }
         // One pass: probe for the tag while tracking the would-be victim —
@@ -181,7 +175,6 @@ impl Llc {
             if tag == want {
                 row[i] = (want << STAMP_BITS) | tick;
                 self.mru[set] = i as u32;
-                self.stats.hits += 1;
                 return true;
             }
             if tag & LINE_VALID == 0 {
@@ -198,8 +191,29 @@ impl Llc {
         };
         row[victim] = (want << STAMP_BITS) | tick;
         self.mru[set] = victim as u32;
-        self.stats.misses += 1;
         false
+    }
+
+    /// Drops every valid line of every pending region in one pass over the
+    /// tag store, then empties the bitmap. Clearing a valid bit touches no
+    /// stamp and no MRU hint, and only [`access`](Self::access) reads valid
+    /// bits, so running this at the next access is indistinguishable from
+    /// running it at each [`invalidate_frames`](Self::invalidate_frames).
+    #[cold]
+    fn sweep_pending(&mut self) {
+        let pending = &self.pending;
+        for w in &mut self.data {
+            let tag = *w >> STAMP_BITS;
+            let region = (tag >> (1 + REGION_SHIFT)) as usize;
+            if tag & LINE_VALID != 0
+                && pending
+                    .get(region / 64)
+                    .is_some_and(|bits| bits >> (region % 64) & 1 != 0)
+            {
+                *w &= !(LINE_VALID << STAMP_BITS);
+            }
+        }
+        self.pending.clear();
     }
 
     /// Rewrites every set's LRU stamps to their within-set rank so the
@@ -233,11 +247,10 @@ impl Llc {
 
     /// Invalidates every line belonging to the 4KB frame `pfn` (used when a
     /// frame is migrated or freed so a reused frame cannot produce phantom
-    /// hits). Returns the number of lines dropped.
-    pub fn invalidate_frame(&mut self, pfn: Pfn) -> u64 {
+    /// hits).
+    pub fn invalidate_frame(&mut self, pfn: Pfn) {
         let first_line = pfn.addr().0 / CACHE_LINE_BYTES as u64;
         let lines_per_page = 4096 / CACHE_LINE_BYTES as u64;
-        let mut dropped = 0;
         for line in first_line..first_line + lines_per_page {
             let want = pack_line(line);
             let ways = self.config.ways;
@@ -245,48 +258,49 @@ impl Llc {
             for w in &mut self.data[base..base + ways] {
                 if *w >> STAMP_BITS == want {
                     *w &= !(LINE_VALID << STAMP_BITS);
-                    dropped += 1;
                 }
             }
         }
-        self.stats.invalidations += dropped;
-        dropped
     }
 
     /// Invalidates every line of the `n_frames` contiguous 4KB frames
     /// starting at `first_pfn` — the bulk form of `n_frames`
-    /// [`invalidate_frame`](Self::invalidate_frame) calls, dropping exactly
-    /// the same lines and counting them identically. When the line range
-    /// covers at least one full pass of the sets (e.g. a 2MB frame against
-    /// any shipped geometry) this is a single sequential sweep of the tag
-    /// store with one range compare per tag, instead of scattered per-line
-    /// probes.
-    pub fn invalidate_frames(&mut self, first_pfn: Pfn, n_frames: u64) -> u64 {
+    /// [`invalidate_frame`](Self::invalidate_frame) calls: every later
+    /// [`access`](Self::access) sees exactly the same lines gone. A range
+    /// with fewer lines than the cache has sets takes those per-frame
+    /// probes. A longer range made of whole 2MB-aligned regions (every
+    /// huge frame) is only marked pending, and the next access drops all
+    /// pending regions in one sweep of the tag store, so a plan that
+    /// migrates many huge pages pays one sweep. Any other long range is
+    /// swept at once, with one range compare per tag.
+    pub fn invalidate_frames(&mut self, first_pfn: Pfn, n_frames: u64) {
         let lines_per_page = 4096 / CACHE_LINE_BYTES as u64;
         let first_line = first_pfn.addr().0 / CACHE_LINE_BYTES as u64;
         let n_lines = n_frames * lines_per_page;
         if n_lines < self.sets as u64 {
-            let mut dropped = 0;
             for f in 0..n_frames {
-                dropped += self.invalidate_frame(Pfn(first_pfn.0 + f));
+                self.invalidate_frame(Pfn(first_pfn.0 + f));
             }
-            return dropped;
+            return;
         }
-        let mut dropped = 0;
+        if first_line.is_multiple_of(REGION_LINES) && n_lines.is_multiple_of(REGION_LINES) {
+            // Regions past the last one a tag can name hold no lines.
+            let first = (first_line >> REGION_SHIFT) as usize;
+            let end = (first + (n_lines >> REGION_SHIFT) as usize).min(MAX_REGIONS);
+            if self.pending.len() < end.div_ceil(64) {
+                self.pending.resize(end.div_ceil(64), 0);
+            }
+            for r in first..end {
+                self.pending[r / 64] |= 1 << (r % 64);
+            }
+            return;
+        }
         for w in &mut self.data {
             let tag = *w >> STAMP_BITS;
             if tag & LINE_VALID != 0 && (tag >> 1).wrapping_sub(first_line) < n_lines {
                 *w &= !(LINE_VALID << STAMP_BITS);
-                dropped += 1;
             }
         }
-        self.stats.invalidations += dropped;
-        dropped
-    }
-
-    /// Statistics snapshot.
-    pub fn stats(&self) -> LlcStats {
-        self.stats
     }
 
     /// Hit latency, ns.
@@ -308,13 +322,26 @@ mod tests {
         })
     }
 
+    /// The tag store as the next access sees it: pending regions swept.
+    fn settled(c: &mut Llc) -> &[u64] {
+        if !c.pending.is_empty() {
+            c.sweep_pending();
+        }
+        &c.data
+    }
+
+    /// Whether a valid copy of `line` sits in the tag store right now.
+    fn resident(c: &Llc, line: u64) -> bool {
+        let want = pack_line(line);
+        c.data.iter().any(|w| w >> STAMP_BITS == want)
+    }
+
     #[test]
     fn miss_then_hit() {
         let mut c = tiny();
         assert!(!c.access(0));
         assert!(c.access(0));
-        assert_eq!(c.stats().hits, 1);
-        assert_eq!(c.stats().misses, 1);
+        assert!(c.access(0));
     }
 
     #[test]
@@ -346,14 +373,18 @@ mod tests {
             ways: 16,
             hit_ns: 10,
         });
-        // Touch all 64 lines of frame 5.
+        // Touch all 64 lines of frame 5 and one line of frame 6.
         let base = Pfn(5).addr().0 / 64;
-        for l in base..base + 64 {
+        for l in base..base + 65 {
             c.access(l);
         }
-        let dropped = c.invalidate_frame(Pfn(5));
-        assert_eq!(dropped, 64);
-        assert!(!c.access(base), "line must miss after invalidation");
+        c.invalidate_frame(Pfn(5));
+        assert!((base..base + 64).all(|l| !resident(&c, l)));
+        assert!(resident(&c, base + 64), "frame 6 is untouched");
+        for l in base..base + 64 {
+            assert!(!c.access(l), "line {l} must miss after invalidation");
+        }
+        assert!(c.access(base + 64));
     }
 
     #[test]
@@ -378,15 +409,20 @@ mod tests {
         };
         let mut bulk = build();
         let mut per = build();
-        // 5 frames x 64 lines = 320 lines >= 64 sets: takes the sweep path.
-        let d_bulk = bulk.invalidate_frames(Pfn(3), 5);
-        let mut d_per = 0;
+        // 5 frames x 64 lines = 320 lines >= 64 sets, not a whole 2MB
+        // region: takes the immediate sweep.
+        bulk.invalidate_frames(Pfn(3), 5);
+        assert!(
+            bulk.pending.is_empty(),
+            "an unaligned range is never deferred"
+        );
         for f in 3u64..8 {
-            d_per += per.invalidate_frame(Pfn(f));
+            per.invalidate_frame(Pfn(f));
         }
-        assert_eq!(d_bulk, d_per);
-        assert_eq!(bulk.stats(), per.stats());
         assert_eq!(bulk.data, per.data, "tag stores must match exactly");
+        for l in (0..1000u64).chain(100_000..100_300) {
+            assert_eq!(bulk.access(l), per.access(l), "line {l}");
+        }
     }
 
     #[test]
@@ -412,15 +448,54 @@ mod tests {
         };
         let mut bulk = build();
         let mut per = build();
-        let d_bulk = bulk.invalidate_frames(Pfn(512), 512);
-        let mut d_per = 0;
+        let page = 512 * 64..2 * 512 * 64;
+        assert!(page.clone().any(|l| resident(&bulk, l)), "page is resident");
+        bulk.invalidate_frames(Pfn(512), 512);
+        assert!(!bulk.pending.is_empty(), "a whole 2MB region is deferred");
         for f in 512u64..1024 {
-            d_per += per.invalidate_frame(Pfn(f));
+            per.invalidate_frame(Pfn(f));
         }
-        assert!(d_bulk > 0, "the page had resident lines");
-        assert_eq!(d_bulk, d_per);
-        assert_eq!(bulk.stats(), per.stats());
-        assert_eq!(bulk.data, per.data, "tag stores must match exactly");
+        assert_eq!(
+            settled(&mut bulk),
+            per.data,
+            "tag stores must match exactly"
+        );
+        assert!(!page.clone().any(|l| resident(&bulk, l)));
+        for l in (512 * 64 - 400..2 * 512 * 64 + 400).step_by(5) {
+            assert_eq!(bulk.access(l), per.access(l), "line {l}");
+        }
+    }
+
+    #[test]
+    fn deferred_regions_sweep_once_before_the_next_access() {
+        let build = || {
+            let mut c = Llc::new(LlcConfig {
+                size_bytes: 256 << 10,
+                ways: 16,
+                hit_ns: 10,
+            });
+            for l in (0..4 * 512 * 64u64).step_by(11) {
+                c.access(l);
+            }
+            c
+        };
+        let mut bulk = build();
+        let mut per = build();
+        // Two separate huge frames and one two-frame range, then a
+        // per-frame invalidation inside a pending region: all commute.
+        bulk.invalidate_frames(Pfn(0), 512);
+        bulk.invalidate_frames(Pfn(1024), 1024);
+        bulk.invalidate_frame(Pfn(3));
+        for f in (0u64..512).chain(1024..2048) {
+            per.invalidate_frame(Pfn(f));
+        }
+        let line = 512 * 64 + 5; // frame 512's region stays cached
+        assert_eq!(bulk.access(line), per.access(line));
+        assert!(
+            bulk.pending.is_empty(),
+            "the access swept every pending region"
+        );
+        assert_eq!(bulk.data, per.data);
     }
 
     #[test]
@@ -434,8 +509,10 @@ mod tests {
         for l in base..base + 64 {
             c.access(l);
         }
-        // 64 lines < 1024 sets: per-frame path, same observable result.
-        assert_eq!(c.invalidate_frames(Pfn(5), 1), 64);
+        // 64 lines < 1024 sets: per-frame path, dropped at once.
+        c.invalidate_frames(Pfn(5), 1);
+        assert!(c.pending.is_empty());
+        assert!((base..base + 64).all(|l| !resident(&c, l)));
         assert!(!c.access(base));
     }
 
@@ -463,16 +540,6 @@ mod tests {
             let line = (l * 7) % 400;
             assert_eq!(plain.access(line), renormed.access(line), "line {line}");
         }
-        assert_eq!(plain.stats(), renormed.stats());
-    }
-
-    #[test]
-    fn miss_ratio_math() {
-        let mut c = tiny();
-        c.access(0);
-        c.access(0);
-        c.access(0);
-        assert!((c.stats().miss_ratio() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

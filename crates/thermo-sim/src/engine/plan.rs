@@ -384,17 +384,11 @@ impl Engine {
                 }
                 OpOutcome::Faults(sum)
             }
-            PlanOp::TakeCounts { vpn, split } => {
-                let mut sum = 0;
-                if *split {
-                    for i in 0..PAGES_PER_HUGE as u64 {
-                        sum += self.trap.take_count(vpn.offset(i)).unwrap_or(0);
-                    }
-                } else {
-                    sum += self.trap.take_count(*vpn).unwrap_or(0);
-                }
-                OpOutcome::Faults(sum)
-            }
+            PlanOp::TakeCounts { vpn, split } => OpOutcome::Faults(if *split {
+                self.trap.take_children_sum(*vpn)
+            } else {
+                self.trap.take_count(*vpn).unwrap_or(0)
+            }),
             PlanOp::PromoteChild { vpn } => {
                 self.unpoison_page(*vpn);
                 if self.migrate_page(*vpn, Tier::Fast).is_err() {

@@ -42,7 +42,7 @@ pub mod stats;
 pub mod workload;
 
 pub use arbiter::{Arbiter, ArbiterConfig, ArbiterEvent, Decision, DecisionKind, TenantReport};
-pub use cache::{Llc, LlcConfig, LlcStats};
+pub use cache::{Llc, LlcConfig};
 pub use clock::VirtualClock;
 pub use config::{ColdAccessModel, SimConfig};
 pub use engine::{

@@ -20,6 +20,11 @@
 //! [`TrapUnit`] owns the poison set and the per-page fault counters; the
 //! simulation engine calls [`TrapUnit::on_fault`] from its access pipeline
 //! whenever a walk resolves a poisoned leaf.
+//!
+//! A split huge page poisoned in bulk ([`TrapUnit::poison_children`], the
+//! §3.5 demotion path) keeps its 512 child counters in one grouped entry,
+//! so poisoning and unpoisoning it cost one map operation instead of 512.
+//! Every query answers as if each child had its own counter.
 
 #![warn(missing_docs)]
 use std::collections::BTreeMap;
@@ -65,11 +70,20 @@ struct Counter {
     size: PageSize,
 }
 
+/// Fault counts of the 512 4KB children of one split huge page, indexed
+/// by child offset.
+type Group = Box<[u64; PAGES_PER_HUGE]>;
+
 /// The BadgerTrap kernel extension, as a simulation component.
 #[derive(Debug, Default)]
 pub struct TrapUnit {
     config: TrapConfig,
     counters: BTreeMap<Vpn, Counter>,
+    /// Split huge pages poisoned by [`poison_children`](Self::poison_children),
+    /// keyed by window base: each entry stands for 512 4KB counters. No key
+    /// of `counters` lies inside a grouped window; a single-leaf `poison`,
+    /// `unpoison` or `forget` there first splits the group back.
+    groups: BTreeMap<Vpn, Group>,
     stats: TrapStats,
 }
 
@@ -79,7 +93,47 @@ impl TrapUnit {
         Self {
             config,
             counters: BTreeMap::new(),
+            groups: BTreeMap::new(),
             stats: TrapStats::default(),
+        }
+    }
+
+    /// The grouped fault count of 4KB page `vpn`, if its window is grouped.
+    fn group_count(&self, vpn: Vpn) -> Option<u64> {
+        if self.groups.is_empty() {
+            return None;
+        }
+        self.groups
+            .get(&vpn.huge_base())
+            .map(|group| group[vpn.index_in_huge()])
+    }
+
+    fn group_slot_mut(&mut self, vpn: Vpn) -> Option<&mut u64> {
+        if self.groups.is_empty() {
+            return None;
+        }
+        let group = self.groups.get_mut(&vpn.huge_base())?;
+        Some(&mut group[vpn.index_in_huge()])
+    }
+
+    /// Turns the group covering `vpn`, if any, back into 512 per-leaf
+    /// counters with the same fault counts, so a single-leaf operation can
+    /// act on one of them.
+    fn ungroup(&mut self, vpn: Vpn) {
+        if self.groups.is_empty() {
+            return;
+        }
+        let base = vpn.huge_base();
+        if let Some(group) = self.groups.remove(&base) {
+            for (i, &faults) in group.iter().enumerate() {
+                self.counters.insert(
+                    base.offset(i as u64),
+                    Counter {
+                        faults,
+                        size: PageSize::Small4K,
+                    },
+                );
+            }
         }
     }
 
@@ -122,22 +176,24 @@ impl TrapUnit {
             "poison must target the leaf base"
         );
         tlb.shootdown(base_vpn, size, vpid);
+        self.ungroup(base_vpn);
         self.counters.insert(base_vpn, Counter { faults: 0, size });
-        self.stats.poisoned_pages = self.counters.len() as u64;
+        self.stats.poisoned_pages = self.poisoned_len() as u64;
         self.stats.poisons += 1;
     }
 
     /// Poisons all 512 4KB children of the split huge page at `base_vpn` in
     /// one page-table pass — the bulk counterpart of 512 [`poison`]
     /// calls. Observable state (PTE bits, TLB content, counters,
-    /// statistics) is identical to the per-child sequence; only the number
-    /// of page-table descents differs.
+    /// statistics) is identical to the per-child sequence; the 512 fresh
+    /// counters are one grouped entry.
     ///
     /// [`poison`]: Self::poison
     ///
     /// # Panics
     ///
-    /// Panics if any child is unmapped or not a 4KB leaf.
+    /// Panics if `base_vpn` is not huge-aligned, or if any child is
+    /// unmapped or not a 4KB leaf.
     pub fn poison_children(
         &mut self,
         pt: &mut PageTable,
@@ -145,6 +201,10 @@ impl TrapUnit {
         vpid: Vpid,
         base_vpn: Vpn,
     ) {
+        assert!(
+            base_vpn.is_huge_aligned(),
+            "poisoning children of unaligned window {base_vpn}"
+        );
         let mut seen = 0u64;
         pt.for_each_leaf_mut(base_vpn, PAGES_PER_HUGE as u64, |vpn, size, pte| {
             assert_eq!(size, PageSize::Small4K, "poison size mismatch at {vpn}");
@@ -156,17 +216,16 @@ impl TrapUnit {
             "poisoning unmapped children under {base_vpn}"
         );
         for i in 0..PAGES_PER_HUGE as u64 {
-            let vpn = base_vpn.offset(i);
-            tlb.shootdown(vpn, PageSize::Small4K, vpid);
-            self.counters.insert(
-                vpn,
-                Counter {
-                    faults: 0,
-                    size: PageSize::Small4K,
-                },
-            );
+            tlb.shootdown(base_vpn.offset(i), PageSize::Small4K, vpid);
         }
-        self.stats.poisoned_pages = self.counters.len() as u64;
+        // Fresh counters replace any per-leaf ones in the window, exactly
+        // as 512 inserts would.
+        let end = base_vpn.offset(PAGES_PER_HUGE as u64);
+        while let Some((&vpn, _)) = self.counters.range(base_vpn..end).next() {
+            self.counters.remove(&vpn);
+        }
+        self.groups.insert(base_vpn, Box::new([0; PAGES_PER_HUGE]));
+        self.stats.poisoned_pages = self.poisoned_len() as u64;
         self.stats.poisons += PAGES_PER_HUGE as u64;
     }
 
@@ -189,17 +248,25 @@ impl TrapUnit {
             assert_eq!(size, PageSize::Small4K, "unpoison size mismatch at {vpn}");
             pte.unpoison();
         });
-        let mut sum = 0;
-        for i in 0..PAGES_PER_HUGE as u64 {
-            let vpn = base_vpn.offset(i);
-            let counter = self
-                .counters
-                .remove(&vpn)
-                .unwrap_or_else(|| panic!("unpoisoning page {vpn} that was never poisoned"));
-            sum += counter.faults;
-            tlb.shootdown(vpn, counter.size, vpid);
-        }
-        self.stats.poisoned_pages = self.counters.len() as u64;
+        let sum = if let Some(group) = self.groups.remove(&base_vpn) {
+            for i in 0..PAGES_PER_HUGE as u64 {
+                tlb.shootdown(base_vpn.offset(i), PageSize::Small4K, vpid);
+            }
+            group.iter().sum()
+        } else {
+            let mut sum = 0;
+            for i in 0..PAGES_PER_HUGE as u64 {
+                let vpn = base_vpn.offset(i);
+                let counter = self
+                    .counters
+                    .remove(&vpn)
+                    .unwrap_or_else(|| panic!("unpoisoning page {vpn} that was never poisoned"));
+                sum += counter.faults;
+                tlb.shootdown(vpn, counter.size, vpid);
+            }
+            sum
+        };
+        self.stats.poisoned_pages = self.poisoned_len() as u64;
         self.stats.unpoisons += PAGES_PER_HUGE as u64;
         sum
     }
@@ -217,13 +284,14 @@ impl TrapUnit {
         vpid: Vpid,
         base_vpn: Vpn,
     ) -> u64 {
+        self.ungroup(base_vpn);
         let counter = self
             .counters
             .remove(&base_vpn)
             .unwrap_or_else(|| panic!("unpoisoning page {base_vpn} that was never poisoned"));
         pt.with_pte_mut(base_vpn, |pte| pte.unpoison());
         tlb.shootdown(base_vpn, counter.size, vpid);
-        self.stats.poisoned_pages = self.counters.len() as u64;
+        self.stats.poisoned_pages = self.poisoned_len() as u64;
         self.stats.unpoisons += 1;
         counter.faults
     }
@@ -232,8 +300,9 @@ impl TrapUnit {
     /// (used when the page is unmapped or remapped wholesale, e.g. during
     /// migration, and the PTE poison state is rebuilt by the caller).
     pub fn forget(&mut self, base_vpn: Vpn) -> Option<u64> {
+        self.ungroup(base_vpn);
         let c = self.counters.remove(&base_vpn);
-        self.stats.poisoned_pages = self.counters.len() as u64;
+        self.stats.poisoned_pages = self.poisoned_len() as u64;
         c.map(|c| c.faults)
     }
 
@@ -247,7 +316,9 @@ impl TrapUnit {
     /// Faults on pages this unit did not poison (e.g. after a policy bug)
     /// are still counted in the aggregate statistics so they are visible.
     pub fn on_fault(&mut self, base_vpn: Vpn) -> u64 {
-        if let Some(c) = self.counters.get_mut(&base_vpn) {
+        if let Some(faults) = self.group_slot_mut(base_vpn) {
+            *faults += 1;
+        } else if let Some(c) = self.counters.get_mut(&base_vpn) {
             c.faults += 1;
         }
         self.stats.faults += 1;
@@ -257,12 +328,13 @@ impl TrapUnit {
 
     /// Current fault count of a poisoned page (None if not poisoned).
     pub fn count(&self, base_vpn: Vpn) -> Option<u64> {
-        self.counters.get(&base_vpn).map(|c| c.faults)
+        self.group_count(base_vpn)
+            .or_else(|| self.counters.get(&base_vpn).map(|c| c.faults))
     }
 
     /// True if `base_vpn` is poisoned by this unit.
     pub fn is_poisoned(&self, base_vpn: Vpn) -> bool {
-        self.counters.contains_key(&base_vpn)
+        self.group_count(base_vpn).is_some() || self.counters.contains_key(&base_vpn)
     }
 
     /// Reads and resets the fault counter of a poisoned page, keeping it
@@ -270,19 +342,32 @@ impl TrapUnit {
     ///
     /// Returns `None` if the page is not poisoned.
     pub fn take_count(&mut self, base_vpn: Vpn) -> Option<u64> {
+        if let Some(faults) = self.group_slot_mut(base_vpn) {
+            return Some(std::mem::take(faults));
+        }
         self.counters
             .get_mut(&base_vpn)
             .map(|c| std::mem::take(&mut c.faults))
     }
 
-    /// Iterates over `(base_vpn, faults)` of every poisoned page.
-    pub fn iter_counts(&self) -> impl Iterator<Item = (Vpn, u64)> + '_ {
-        self.counters.iter().map(|(v, c)| (*v, c.faults))
+    /// Reads and resets the fault counters of all 512 4KB children of the
+    /// split huge page at `base_vpn`, keeping them poisoned, and returns
+    /// their sum — the bulk form of 512 [`take_count`](Self::take_count)
+    /// calls, with children that are not poisoned counting 0.
+    pub fn take_children_sum(&mut self, base_vpn: Vpn) -> u64 {
+        if let Some(group) = self.groups.get_mut(&base_vpn) {
+            let sum = group.iter().sum();
+            group.fill(0);
+            return sum;
+        }
+        (0..PAGES_PER_HUGE as u64)
+            .map(|i| self.take_count(base_vpn.offset(i)).unwrap_or(0))
+            .sum()
     }
 
     /// Number of currently poisoned pages.
     pub fn poisoned_len(&self) -> usize {
-        self.counters.len()
+        self.counters.len() + self.groups.len() * PAGES_PER_HUGE
     }
 
     /// Statistics snapshot.
@@ -448,6 +533,40 @@ mod tests {
     }
 
     #[test]
+    fn single_leaf_ops_split_a_group_back_with_its_counts() {
+        let mut pt = PageTable::new();
+        pt.map_huge(Vpn(512), Pfn(1024), true).unwrap();
+        pt.split_huge(Vpn(512)).unwrap();
+        let mut tlb = Tlb::default();
+        let mut trap = TrapUnit::default();
+        trap.poison_children(&mut pt, &mut tlb, V, Vpn(512));
+        trap.on_fault(Vpn(512));
+        trap.on_fault(Vpn(1000));
+        trap.on_fault(Vpn(1000));
+        assert_eq!(trap.count(Vpn(1000)), Some(2));
+        assert_eq!(trap.poisoned_len(), 512);
+        // Unpoisoning one child keeps the other 511 and their counts.
+        assert_eq!(trap.unpoison(&mut pt, &mut tlb, V, Vpn(512)), 1);
+        assert!(!trap.is_poisoned(Vpn(512)));
+        assert_eq!(trap.count(Vpn(1000)), Some(2));
+        assert_eq!(trap.poisoned_len(), 511);
+        assert_eq!(trap.stats().poisoned_pages, 511);
+        // A bulk take drains the split-back counters like 511 takes.
+        assert_eq!(trap.take_children_sum(Vpn(512)), 2);
+        assert_eq!(trap.count(Vpn(1000)), Some(0));
+        // Re-poisoning the window regroups it with fresh counters.
+        trap.poison_children(&mut pt, &mut tlb, V, Vpn(512));
+        assert_eq!(trap.poisoned_len(), 512);
+        trap.on_fault(Vpn(1000));
+        trap.on_fault(Vpn(600));
+        assert_eq!(trap.take_children_sum(Vpn(512)), 2);
+        assert_eq!(trap.count(Vpn(1000)), Some(0));
+        assert_eq!(trap.poisoned_len(), 512);
+        assert_eq!(trap.forget(Vpn(513)), Some(0));
+        assert_eq!(trap.poisoned_len(), 511);
+    }
+
+    #[test]
     #[should_panic(expected = "unmapped children")]
     fn bulk_poison_unmapped_children_panics() {
         let mut pt = PageTable::new();
@@ -455,22 +574,6 @@ mod tests {
         let mut tlb = Tlb::default();
         let mut trap = TrapUnit::default();
         trap.poison_children(&mut pt, &mut tlb, V, Vpn(512));
-    }
-
-    #[test]
-    fn iter_counts_covers_all() {
-        let mut pt = PageTable::new();
-        pt.map_small(Vpn(1), Pfn(1), true).unwrap();
-        pt.map_small(Vpn(2), Pfn(2), true).unwrap();
-        let mut tlb = Tlb::default();
-        let mut trap = TrapUnit::default();
-        trap.poison(&mut pt, &mut tlb, V, Vpn(1), PageSize::Small4K);
-        trap.poison(&mut pt, &mut tlb, V, Vpn(2), PageSize::Small4K);
-        trap.on_fault(Vpn(2));
-        let mut counts: Vec<_> = trap.iter_counts().collect();
-        counts.sort();
-        assert_eq!(counts, vec![(Vpn(1), 0), (Vpn(2), 1)]);
-        assert_eq!(trap.poisoned_len(), 2);
     }
 }
 

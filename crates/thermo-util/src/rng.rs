@@ -66,6 +66,27 @@ pub fn parse_seed(s: &str) -> Option<u64> {
     u64::from_str_radix(body, radix).ok()
 }
 
+/// Parses a count: a non-negative decimal integer, as `str::parse::<u64>`
+/// reads it, with surrounding whitespace allowed. Anything else — empty,
+/// negative, fractional, hex, out of range — is `None`.
+pub fn parse_count(s: &str) -> Option<u64> {
+    s.trim().parse().ok()
+}
+
+/// `parse(text)`, or a panic naming the variable `var`, its value `text`
+/// and the `grammar` it should have followed.
+fn parse_knob<T>(var: &str, text: &str, parse: fn(&str) -> Option<T>, grammar: &str) -> T {
+    parse(text).unwrap_or_else(|| panic!("{var}={text:?} is not {grammar}"))
+}
+
+fn knob_from_env<T>(var: &str, parse: fn(&str) -> Option<T>, grammar: &str) -> Option<T> {
+    let value = std::env::var_os(var)?;
+    Some(parse_knob(var, &value.to_string_lossy(), parse, grammar))
+}
+
+const SEED_GRAMMAR: &str = "a seed (decimal, or hex with a 0x prefix; `_` separators allowed)";
+const COUNT_GRAMMAR: &str = "a count (a non-negative decimal integer)";
+
 /// Reads a seed knob from the environment variable `var` (unset = `None`).
 ///
 /// # Panics
@@ -74,14 +95,19 @@ pub fn parse_seed(s: &str) -> Option<u64> {
 /// [`parse_seed`] seed — a typo must not silently turn a fuzz run into an
 /// unfuzzed one.
 pub fn seed_from_env(var: &str) -> Option<u64> {
-    let value = std::env::var_os(var)?;
-    let text = value.to_string_lossy();
-    match parse_seed(&text) {
-        Some(seed) => Some(seed),
-        None => panic!(
-            "{var}={text:?} is not a seed (decimal, or hex with a 0x prefix; `_` separators allowed)"
-        ),
-    }
+    knob_from_env(var, parse_seed, SEED_GRAMMAR)
+}
+
+/// Reads a numeric knob (a scale, a duration, a worker count) from the
+/// environment variable `var` (unset = `None`).
+///
+/// # Panics
+///
+/// Panics, naming the variable and its value, when it is set but is not a
+/// [`parse_count`] count — `THERMO_SCALE=abc` must not silently run at the
+/// default scale.
+pub fn count_from_env(var: &str) -> Option<u64> {
+    knob_from_env(var, parse_count, COUNT_GRAMMAR)
 }
 
 /// A small, fast, deterministic PRNG (xoshiro256**).
@@ -377,6 +403,47 @@ mod tests {
         ] {
             assert_eq!(parse_seed(bad), None, "{bad:?}");
         }
+    }
+
+    #[test]
+    fn counts_parse_as_decimal_integers() {
+        assert_eq!(parse_count("16"), Some(16));
+        assert_eq!(parse_count("0"), Some(0));
+        assert_eq!(parse_count(" 4\n"), Some(4));
+        assert_eq!(parse_count("+3"), Some(3));
+        assert_eq!(parse_count("18446744073709551615"), Some(u64::MAX));
+        for bad in [
+            "",
+            " ",
+            "abc",
+            "-1",
+            "1.5",
+            "1e3",
+            "0x10",
+            "1_000",
+            "16 MB",
+            "18446744073709551616",
+        ] {
+            assert_eq!(parse_count(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn knobs_parse_or_name_the_variable() {
+        assert_eq!(parse_knob("V", "12", parse_count, COUNT_GRAMMAR), 12);
+        assert_eq!(parse_knob("V", "0x1f", parse_seed, SEED_GRAMMAR), 31);
+    }
+
+    #[test]
+    #[should_panic(expected = "THERMO_SCALE=\"abc\" is not a count")]
+    fn malformed_count_knob_panics_with_its_name_and_value() {
+        parse_knob("THERMO_SCALE", "abc", parse_count, COUNT_GRAMMAR);
+    }
+
+    #[test]
+    #[should_panic(expected = "THERMO_SCHED_FUZZ=\"0xg\" is not a seed")]
+    fn malformed_seed_knob_panics_with_its_name_and_value() {
+        parse_knob("THERMO_SCHED_FUZZ", "0xg", parse_seed, SEED_GRAMMAR);
     }
 
     #[test]

@@ -14,10 +14,10 @@ use thermo_util::rng::SliceRandom;
 use thermo_util::rng::SmallRng;
 
 /// Picks this period's sample from the fast-tier huge-page candidates:
-/// shuffle, prefer pages not yet visited this coverage epoch (stable sort,
-/// so the shuffle order breaks ties), and keep `sample_fraction` of them
-/// (at least one). Returns the selection and the fraction actually
-/// achieved.
+/// shuffle, prefer pages not yet visited this coverage epoch (a stable
+/// partition, so the shuffle order breaks ties), and keep
+/// `sample_fraction` of them (at least one). Returns the selection and the
+/// fraction actually achieved.
 ///
 /// The epoch set is updated in place and reset once every candidate has
 /// been visited — the paper samples a *different* random 5% each period
@@ -34,12 +34,17 @@ pub(super) fn select_sample(
         sampled_epoch.clear();
     }
     candidates.shuffle(rng);
-    candidates.sort_by_key(|v| sampled_epoch.contains(v)); // stable: unseen first
-    candidates.truncate(want);
-    for &vpn in &candidates {
+    // One epoch lookup per candidate: unseen first, each side in shuffle
+    // order.
+    let (mut picked, seen): (Vec<Vpn>, Vec<Vpn>) = candidates
+        .into_iter()
+        .partition(|v| !sampled_epoch.contains(v));
+    picked.extend(seen);
+    picked.truncate(want);
+    for &vpn in &picked {
         sampled_epoch.insert(vpn);
     }
-    (candidates, want as f64 / n_candidates as f64)
+    (picked, want as f64 / n_candidates as f64)
 }
 
 /// Picks up to `max_poison` of a sampled page's accessed children to
@@ -79,4 +84,62 @@ pub(super) fn split_place_children(
             .filter(|child| accessed_set.binary_search(child).is_err())
             .collect(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use thermo_util::forall;
+    use thermo_util::proptest_lite::{any, range, vec_of};
+    use thermo_util::rng::SeedableRng;
+
+    /// The sort-based selection the partition replaced.
+    fn select_by_sort(
+        rng: &mut SmallRng,
+        mut candidates: Vec<Vpn>,
+        sample_fraction: f64,
+        sampled_epoch: &mut BTreeSet<Vpn>,
+    ) -> (Vec<Vpn>, f64) {
+        let n_candidates = candidates.len();
+        let want =
+            ((n_candidates as f64 * sample_fraction).round() as usize).clamp(1, n_candidates);
+        if candidates.iter().all(|v| sampled_epoch.contains(v)) {
+            sampled_epoch.clear();
+        }
+        candidates.shuffle(rng);
+        candidates.sort_by_key(|v| sampled_epoch.contains(v));
+        candidates.truncate(want);
+        for &vpn in &candidates {
+            sampled_epoch.insert(vpn);
+        }
+        (candidates, want as f64 / n_candidates as f64)
+    }
+
+    #[test]
+    fn select_sample_matches_the_sort_based_selection() {
+        // Candidates and epoch members come from one small pool, so the
+        // epoch often holds every candidate (the reset case) or none.
+        forall!(
+            cases = 256,
+            (pool in vec_of(range(0u64..40), 1..40)),
+            (epoch in vec_of(range(0u64..40), 0..40)),
+            (percent in range(1u32..101)),
+            (seed in any::<u64>()) => {
+            let mut candidates: Vec<Vpn> = pool.iter().map(|&p| Vpn(p * 512)).collect();
+            candidates.sort();
+            candidates.dedup();
+            let fraction = percent as f64 / 100.0;
+            let mut epoch_a: BTreeSet<Vpn> = epoch.iter().map(|&p| Vpn(p * 512)).collect();
+            let mut epoch_b = epoch_a.clone();
+            let mut rng_a = SmallRng::seed_from_u64(seed);
+            let mut rng_b = SmallRng::seed_from_u64(seed);
+            for _ in 0..3 {
+                let got = select_sample(&mut rng_a, candidates.clone(), fraction, &mut epoch_a);
+                let want = select_by_sort(&mut rng_b, candidates.clone(), fraction, &mut epoch_b);
+                assert_eq!(got, want);
+                assert_eq!(epoch_a, epoch_b);
+                assert_eq!(rng_a, rng_b, "same RNG draws");
+            }
+        });
+    }
 }
