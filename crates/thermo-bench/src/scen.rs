@@ -270,7 +270,6 @@ pub fn scen_storm_artifact(p: &EvalParams) -> ExperimentArtifact {
             cfg.fast = TierParams::dram(pool);
             cfg.slow = TierParams::slow_1us(bound + (32 << 20));
             cfg.fabric.enabled = true;
-            cfg.sched.coscheduled = true;
             cfg.sched.shared_pool_bytes = pool;
             cfg.sched.initial_grant_bytes = storm_grant(&t.group, bound);
             cfg.sched.slo_pct = t.slo_pct;

@@ -68,7 +68,6 @@ pub(crate) fn build_tenant(
     cfg.fast = TierParams::dram(POOL_BYTES);
     cfg.slow = TierParams::slow_1us(footprint + (96 << 20));
     cfg.fabric.enabled = true;
-    cfg.sched.coscheduled = true;
     cfg.sched.shared_pool_bytes = POOL_BYTES;
     cfg.sched.initial_grant_bytes = grant;
     cfg.sched.slo_pct = slo;

@@ -170,7 +170,6 @@ fn build(
     cfg.fast = TierParams::dram(pool);
     cfg.slow = TierParams::slow_1us(b + (32 << 20));
     cfg.fabric.enabled = case.fabric;
-    cfg.sched.coscheduled = true;
     cfg.sched.shared_pool_bytes = if case.shared { pool } else { 0 };
     cfg.sched.initial_grant_bytes = grant(c, tenant);
     cfg.sched.slo_pct = spec.slo_pct;

@@ -44,9 +44,8 @@ fn worker_count_never_changes_artifact_bytes() {
     }
 }
 
-/// Like [`registry_snapshot`], with the steal-order fuzz knob set: the
-/// executor deals jobs to workers in a seed-shuffled order and perturbs
-/// every steal decision from the same stream.
+/// Like [`registry_snapshot`], with the claim-order fuzz knob set: the
+/// executor's workers claim jobs in a seed-shuffled order.
 fn fuzzed_snapshot(workers: usize, fuzz: u64) -> Vec<(&'static str, String)> {
     std::env::set_var("THERMO_EXEC_FUZZ", fuzz.to_string());
     let out = registry_snapshot(workers);
@@ -55,13 +54,13 @@ fn fuzzed_snapshot(workers: usize, fuzz: u64) -> Vec<(&'static str, String)> {
 }
 
 #[test]
-fn steal_order_fuzz_never_changes_artifact_bytes() {
+fn claim_order_fuzz_never_changes_artifact_bytes() {
     // The executor mirror of the scheduler's THERMO_SCHED_FUZZ campaign:
-    // seeds perturb the initial job deal, steal-victim order, and
-    // steal-before-local decisions, so each seed exercises a different
-    // ownership map and interleaving. Every one must merge to the exact
-    // serial bytes. (ci.sh sweeps more seeds against the on-disk goldens;
-    // this in-tree test keeps the property `cargo test`-visible.)
+    // seeds shuffle the order in which workers claim jobs, so each seed
+    // exercises a different job-to-worker map and completion order.
+    // Every one must merge to the exact serial bytes. (ci.sh sweeps more
+    // seeds against the on-disk goldens; this in-tree test keeps the
+    // property `cargo test`-visible.)
     let serial = registry_snapshot(1);
     assert_eq!(serial.len(), experiments::ALL.len());
     for (workers, fuzz) in [(4, 0u64), (4, 0xfeed_beef), (3, 17)] {

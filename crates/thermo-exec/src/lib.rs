@@ -16,43 +16,34 @@
 //!   ([`thermo_util::rng::derive_stream_seed`], two splitmix64 rounds),
 //!   giving every job a statistically disjoint random stream that depends
 //!   only on `(base_seed, job_id)` — never on which worker ran it.
-//! * **Work stealing for load balance.** Jobs are dealt onto per-worker
-//!   deques up front; an idle worker steals from the back of a victim's
-//!   deque (Chase-Lev style: the owner takes from the front, thieves from
-//!   the back), so a batch with one slow job near the end still keeps
-//!   every core busy. Stealing changes only *which worker* runs a job —
-//!   never its id, its seed, or its place in the merged output.
+//! * **Self-scheduling from one counter.** Workers claim positions in a
+//!   claim order from one shared counter (`fetch_add`) until the order
+//!   runs out, so an idle worker always takes the next unclaimed job and
+//!   a slow job never holds up the rest. Every job in the tree is coarse
+//!   (a whole experiment, a tenant run, a lint file, a snapshot shard), so
+//!   this balances as well as per-worker stealing would, and it can never
+//!   claim a job twice. The claim order changes only *which worker* runs
+//!   a job — never its id, its seed, or its place in the merged output.
 //! * **Merge strictly in job-id order.** Every job writes its result into
 //!   a slot indexed by its id; [`run_jobs`] returns the slots in id order
-//!   regardless of completion order, worker count, steal interleaving, or
-//!   OS scheduling, so downstream artifacts are byte-identical for
+//!   regardless of completion order, worker count, claim order, or OS
+//!   scheduling, so downstream artifacts are byte-identical for
 //!   `workers = 1` and `workers = 64`.
-//! * **Steal-order fuzzing.** `THERMO_EXEC_FUZZ=<seed>` (see
-//!   [`exec_fuzz_from_env`]) perturbs the initial job deal and each
-//!   worker's steal-victim order from a seeded stream — the executor
-//!   mirror of `THERMO_SCHED_FUZZ`. The golden gate runs several seeds and
-//!   asserts byte-identity, turning "scheduling is unobservable" from an
-//!   argument into a tested property (`tests/exec_determinism.rs`).
+//! * **Claim-order fuzzing.** `THERMO_EXEC_FUZZ=<seed>` (see
+//!   [`exec_fuzz_from_env`]) shuffles the claim order with a seeded
+//!   Fisher–Yates draw — the executor mirror of `THERMO_SCHED_FUZZ`. The
+//!   golden gate runs several seeds and asserts byte-identity, turning
+//!   "scheduling is unobservable" from an argument into a tested property
+//!   (`tests/exec_determinism.rs`).
 //! * **Panic capture.** A panicking job never takes down a worker: the
 //!   panic is caught, the remaining jobs still run (workers drain
 //!   cleanly), and the batch fails with the lowest panicking job id and
 //!   its message ([`ExecError::JobPanicked`]).
 //!
-//! Worker threads are plain `std::thread` + atomics — no external
-//! dependencies, per the workspace's hermetic-build policy. Wall-clock
-//! time is intentionally absent from every type here: timing belongs to
-//! the caller's logs, never to merged results (DESIGN.md §9).
-//!
-//! # Why duplicates are benign
-//!
-//! The deque ends race only on the last remaining item: the owner's
-//! front-claim and a thief's back-claim can both report the same job id
-//! (claims can duplicate, never skip — each end moves only towards the
-//! other, and only after observing room). Ownership of the *job itself*
-//! is arbitrated by the job slot, a `Mutex<Option<J>>` whose `take()` has
-//! exactly one winner; the loser simply claims again. This keeps the
-//! deques wait-free-ish without the full Chase-Lev top-tag protocol while
-//! guaranteeing each job runs exactly once.
+//! Worker threads are plain `std::thread` + one atomic counter — no
+//! external dependencies, per the workspace's hermetic-build policy.
+//! Wall-clock time is intentionally absent from every type here: timing
+//! belongs to the caller's logs, never to merged results (DESIGN.md §9).
 //!
 //! # Example
 //!
@@ -122,17 +113,17 @@ where
 }
 
 /// Batch execution configuration: worker count, the base seed every
-/// per-job seed derives from, and the optional steal-order fuzz seed.
+/// per-job seed derives from, and the optional claim-order fuzz seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Worker threads (clamped to at least 1 and at most the job count).
     pub workers: usize,
     /// Base seed; job `i` runs with `derive_stream_seed(base_seed, i)`.
     pub base_seed: u64,
-    /// Steal-order fuzz seed (`THERMO_EXEC_FUZZ`). `Some(s)` perturbs the
-    /// initial job deal and every worker's steal-victim order from a
-    /// stream seeded by `s`; results are byte-identical regardless — the
-    /// knob exists so tests can *prove* that, not to change behavior.
+    /// Claim-order fuzz seed (`THERMO_EXEC_FUZZ`). `Some(s)` shuffles the
+    /// order in which workers claim jobs with a stream seeded by `s`;
+    /// results are byte-identical regardless — the knob exists so tests
+    /// can *prove* that, not to change behavior.
     pub fuzz: Option<u64>,
 }
 
@@ -151,7 +142,7 @@ impl ExecConfig {
         Self::new(1, base_seed)
     }
 
-    /// Returns this configuration with the given steal-order fuzz seed.
+    /// Returns this configuration with the given claim-order fuzz seed.
     pub fn with_fuzz(self, fuzz: Option<u64>) -> Self {
         Self { fuzz, ..self }
     }
@@ -180,15 +171,15 @@ pub fn jobs_from_env() -> usize {
         )
 }
 
-/// Reads the steal-order fuzz seed from `THERMO_EXEC_FUZZ` (unset means
+/// Reads the claim-order fuzz seed from `THERMO_EXEC_FUZZ` (unset means
 /// no fuzzing; decimal or `0x` hex, see
 /// [`thermo_util::rng::parse_seed`]).
 ///
-/// The executor mirror of `THERMO_SCHED_FUZZ`: the seed perturbs which
-/// worker runs which job (initial deal and steal-victim order) without
-/// touching job ids, per-job seeds, or merge order, so artifacts must
-/// stay byte-identical for every value. `scripts/ci.sh` sweeps several
-/// seeds against the golden registry to enforce exactly that.
+/// The executor mirror of `THERMO_SCHED_FUZZ`: the seed shuffles the
+/// order in which workers claim jobs, and so which worker runs which job,
+/// without touching job ids, per-job seeds, or merge order, so artifacts
+/// must stay byte-identical for every value. `scripts/ci.sh` sweeps
+/// several seeds against the golden registry to enforce exactly that.
 ///
 /// # Panics
 ///
@@ -219,8 +210,8 @@ pub fn scan_jobs_from_env() -> usize {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
     /// A job panicked. All other jobs still ran to completion (workers
-    /// drain every deque regardless); the batch reports the lowest
-    /// panicking job id so reruns reproduce the same error.
+    /// claim until the order runs out regardless); the batch reports the
+    /// lowest panicking job id so reruns reproduce the same error.
     JobPanicked {
         /// Stable id of the (lowest) panicking job.
         job_id: u64,
@@ -252,94 +243,19 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One worker's deque of pre-dealt job ids.
-///
-/// The owner claims from the front (`head`), thieves from the back
-/// (`tail`); each end moves only towards the other and only after
-/// observing room, so claims can duplicate on the final item but never
-/// skip one. Duplicates are resolved by the job slots (see the module
-/// docs) — the deque itself never hands out storage, only ids.
-struct StealDeque {
-    /// Job ids in deal order; immutable once built.
-    items: Vec<usize>,
-    /// Owner end: index of the next front item.
-    head: AtomicUsize,
-    /// Thief end: one past the last back item.
-    tail: AtomicUsize,
-}
-
-impl StealDeque {
-    fn new(items: Vec<usize>) -> Self {
-        let tail = items.len();
-        Self {
-            items,
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(tail),
-        }
-    }
-
-    /// Owner claim: the front item, oldest first.
-    fn pop_front(&self) -> Option<usize> {
-        let mut h = self.head.load(Ordering::Acquire);
-        loop {
-            if h >= self.tail.load(Ordering::Acquire) {
-                return None;
-            }
-            match self
-                .head
-                .compare_exchange_weak(h, h + 1, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return Some(self.items[h]),
-                Err(cur) => h = cur,
-            }
-        }
-    }
-
-    /// Thief claim: the back item, newest first (classic steal end).
-    fn steal_back(&self) -> Option<usize> {
-        let mut t = self.tail.load(Ordering::Acquire);
-        loop {
-            if self.head.load(Ordering::Acquire) >= t {
-                return None;
-            }
-            match self
-                .tail
-                .compare_exchange_weak(t, t - 1, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return Some(self.items[t - 1]),
-                Err(cur) => t = cur,
-            }
-        }
-    }
-}
-
-/// Deals job ids `0..n` onto `workers` deques.
-///
-/// Without fuzz the deal is contiguous blocks in id order (worker 0 gets
-/// the first chunk, and so on), which keeps the common "jobs were
-/// submitted cheap-to-expensive-ish" layouts well balanced before any
-/// steal happens. With fuzz the ids are shuffled by a seeded
-/// Fisher-Yates first, so every seed exercises a different ownership map
-/// — the point being that ownership must not matter.
-fn deal_jobs(n: usize, workers: usize, fuzz: Option<u64>) -> Vec<StealDeque> {
-    let mut ids: Vec<usize> = (0..n).collect();
+/// The order in which workers claim job ids: `0..n`, or under fuzz a
+/// seeded Fisher–Yates shuffle of it, so every seed exercises a different
+/// job-to-worker map — the point being that the map must not matter.
+fn claim_order(n: usize, fuzz: Option<u64>) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
     if let Some(seed) = fuzz {
         let mut rng = SmallRng::seed_from_u64(derive_stream_seed(seed, 0));
         for i in (1..n).rev() {
             let j = (rng.next_u64() % (i as u64 + 1)) as usize;
-            ids.swap(i, j);
+            order.swap(i, j);
         }
     }
-    let base = n / workers;
-    let rem = n % workers;
-    let mut deques = Vec::with_capacity(workers);
-    let mut start = 0;
-    for w in 0..workers {
-        let len = base + usize::from(w < rem);
-        deques.push(StealDeque::new(ids[start..start + len].to_vec()));
-        start += len;
-    }
-    deques
+    order
 }
 
 /// Per-job storage shared between the submitting thread and the workers:
@@ -350,67 +266,24 @@ struct JobSlot<J: Job> {
     output: Mutex<Option<Result<J::Output, String>>>,
 }
 
-/// One worker's run-and-steal loop.
+/// One worker's loop: claim the next position in `order` from the shared
+/// counter, run that job, store its output, until the order runs out.
 ///
-/// Drains the worker's own deque front-to-back, then steals from the
-/// backs of victims until a full probe round finds every deque empty —
-/// at that point every job id has been claimed by someone, so exiting is
-/// safe. The fuzz stream (when present) rotates the victim probe order
-/// and occasionally steals *before* draining local work, exercising
-/// interleavings a round-robin prober would never hit.
-fn steal_loop<J: Job>(w: usize, deques: &[StealDeque], slots: &[JobSlot<J>], cfg: &ExecConfig) {
-    let mut fuzz = cfg
-        .fuzz
-        .map(|seed| SmallRng::seed_from_u64(derive_stream_seed(seed, 1 + w as u64)));
-    let workers = deques.len();
-    loop {
-        // Claim the next job id: local front first (fuzz may preempt with
-        // a steal), then one probe round over the victims' backs.
-        let mut claimed = None;
-        if let Some(rng) = fuzz.as_mut() {
-            if workers > 1 && rng.next_u64() % 4 == 0 {
-                let v = (rng.next_u64() % workers as u64) as usize;
-                if v != w {
-                    claimed = deques[v].steal_back();
-                }
-            }
-        }
-        if claimed.is_none() {
-            claimed = deques[w].pop_front();
-        }
-        if claimed.is_none() {
-            let rot = match fuzz.as_mut() {
-                Some(rng) => (rng.next_u64() % workers.max(1) as u64) as usize,
-                None => 1,
-            };
-            for i in 0..workers {
-                let v = (w + rot + i) % workers;
-                if v == w {
-                    continue;
-                }
-                claimed = deques[v].steal_back();
-                if claimed.is_some() {
-                    break;
-                }
-            }
-        }
-        let Some(id) = claimed else {
-            // Every deque is empty: all ids are claimed, nothing left to
-            // run here. Claimed-but-running jobs belong to other workers.
-            return;
-        };
-        // Arbitrate duplicate claims: take() has exactly one winner.
-        let Some(job) = slots[id]
+/// `Relaxed` is enough for the counter: `fetch_add` hands out every
+/// position exactly once under any ordering, the slot mutexes order the
+/// hand-off of each job and its output between threads, and the scope
+/// join orders the merge after every worker.
+fn work<J: Job>(order: &[usize], next: &AtomicUsize, slots: &[JobSlot<J>], base_seed: u64) {
+    while let Some(&id) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+        let job = slots[id]
             .job
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
             .take()
-        else {
-            continue;
-        };
+            .expect("each claim position is handed out once");
         let ctx = JobCtx {
             job_id: id as u64,
-            seed: derive_stream_seed(cfg.base_seed, id as u64),
+            seed: derive_stream_seed(base_seed, id as u64),
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| job.run(&ctx))).map_err(panic_message);
         *slots[id]
@@ -424,8 +297,8 @@ fn steal_loop<J: Job>(w: usize, deques: &[StealDeque], slots: &[JobSlot<J>], cfg
 /// **in job-id order** (index `i` of the result corresponds to `jobs[i]`).
 ///
 /// The output is a pure function of `(jobs, cfg.base_seed)`: worker
-/// count, initial deal, steal interleaving, completion order, and OS
-/// scheduling are all unobservable, so two invocations with different
+/// count, claim order, completion order, and OS scheduling are all
+/// unobservable, so two invocations with different
 /// `cfg.workers` (or different `cfg.fuzz` seeds) merge to identical
 /// results — the property the golden-artifact gate depends on (see
 /// `thermo-bench/tests/exec_determinism.rs`).
@@ -445,17 +318,16 @@ pub fn run_jobs<J: Job>(jobs: Vec<J>, cfg: &ExecConfig) -> Result<Vec<J::Output>
             output: Mutex::new(None),
         })
         .collect();
-    let deques = deal_jobs(n, workers, cfg.fuzz);
+    let order = claim_order(n, cfg.fuzz);
+    let next = AtomicUsize::new(0);
 
     if workers == 1 {
-        // Serial fast path: same claim/arbitrate/run path, no threads.
-        steal_loop(0, &deques, &slots, cfg);
+        // Serial fast path: same claim/run path, no threads.
+        work(&order, &next, &slots, cfg.base_seed);
     } else {
         thread::scope(|s| {
-            for w in 0..workers {
-                let deques = &deques;
-                let slots = &slots;
-                s.spawn(move || steal_loop(w, deques, slots, cfg));
+            for _ in 0..workers {
+                s.spawn(|| work(&order, &next, &slots, cfg.base_seed));
             }
         });
     }
@@ -540,10 +412,10 @@ mod tests {
     }
 
     #[test]
-    fn steals_balance_a_tail_heavy_batch() {
-        // All the work sits in the last job of worker 0's block; thieves
-        // must still drain everything and merge in order. (This is a
-        // liveness/correctness test — timing is not asserted.)
+    fn claims_drain_a_front_heavy_batch() {
+        // All the work sits in the first quarter of the claim order; the
+        // other workers must still drain everything and merge in order.
+        // (This is a liveness/correctness test — timing is not asserted.)
         let jobs: Vec<_> = (0..32u64)
             .map(|i| {
                 move |ctx: &JobCtx| {
@@ -575,7 +447,7 @@ mod tests {
     }
 
     #[test]
-    fn every_job_runs_exactly_once_under_fuzzed_stealing() {
+    fn every_job_runs_exactly_once_under_fuzzed_claim_order() {
         use std::sync::atomic::AtomicU64;
         for seed in 0..16u64 {
             let runs: Vec<AtomicU64> = (0..48).map(|_| AtomicU64::new(0)).collect();
@@ -621,7 +493,7 @@ mod tests {
             "batch reports the lowest panicking job id"
         );
         assert!(err.to_string().contains("job 3 panicked: boom 3"));
-        // Workers drained every deque: every non-panicking job ran.
+        // Workers claimed until the order ran out: every non-panicking job ran.
         let mut survivors = ran.lock().unwrap().clone();
         survivors.sort_unstable();
         assert_eq!(survivors, vec![0, 1, 2, 4, 6, 7]);
@@ -666,45 +538,54 @@ mod tests {
     }
 
     #[test]
-    fn deal_covers_every_id_exactly_once() {
+    fn claim_order_is_the_identity_or_a_seeded_permutation() {
         for n in [1usize, 2, 7, 16, 33] {
-            for workers in [1usize, 2, 3, 8] {
-                for fuzz in [None, Some(9u64)] {
-                    let deques = deal_jobs(n, workers.min(n), fuzz);
-                    let mut ids: Vec<usize> = deques
-                        .iter()
-                        .flat_map(|d| d.items.iter().copied())
-                        .collect();
-                    ids.sort_unstable();
-                    assert_eq!(ids, (0..n).collect::<Vec<_>>());
-                }
+            assert_eq!(claim_order(n, None), (0..n).collect::<Vec<_>>());
+            for seed in [0, 9, u64::MAX] {
+                let mut order = claim_order(n, Some(seed));
+                order.sort_unstable();
+                assert_eq!(order, (0..n).collect::<Vec<_>>(), "n {n}, seed {seed}");
             }
+        }
+        // A fuzz that never moves anything would make every fuzzed sweep
+        // a rerun of the plain one.
+        for n in [8usize, 16, 33] {
+            assert!(
+                (0..4u64).any(|seed| claim_order(n, Some(seed)) != claim_order(n, None)),
+                "no fuzz seed reorders {n} jobs"
+            );
         }
     }
 
     #[test]
-    fn deque_ends_never_skip_an_item() {
-        // Owner and a thief race over one deque; together they must claim
-        // every id at least once (duplicates allowed, losses not).
-        for _ in 0..32 {
-            let d = StealDeque::new((0..64).collect());
-            let claimed = Mutex::new(Vec::new());
-            thread::scope(|s| {
-                s.spawn(|| {
-                    while let Some(id) = d.pop_front() {
-                        claimed.lock().unwrap().push(id);
+    fn a_slow_job_never_holds_up_the_rest() {
+        // On two workers, job 0 waits for every other job: a worker stuck
+        // on it must not keep the others from being claimed.
+        let n = 16;
+        for fuzz in [None, Some(1), Some(2), Some(0xdead_beef)] {
+            let done = AtomicUsize::new(0);
+            let jobs: Vec<_> = (0..n)
+                .map(|i| {
+                    let done = &done;
+                    move |_: &JobCtx| {
+                        if i == 0 {
+                            let start = std::time::Instant::now();
+                            while done.load(Ordering::Acquire) < n - 1 {
+                                assert!(
+                                    start.elapsed() < Duration::from_secs(10),
+                                    "job 0 waited 10 s for the rest (fuzz {fuzz:?})"
+                                );
+                                thread::sleep(Duration::from_millis(1));
+                            }
+                        } else {
+                            done.fetch_add(1, Ordering::Release);
+                        }
+                        i
                     }
-                });
-                s.spawn(|| {
-                    while let Some(id) = d.steal_back() {
-                        claimed.lock().unwrap().push(id);
-                    }
-                });
-            });
-            let mut got = claimed.into_inner().unwrap();
-            got.sort_unstable();
-            got.dedup();
-            assert_eq!(got, (0..64).collect::<Vec<_>>());
+                })
+                .collect();
+            let out = run_jobs(jobs, &ExecConfig::new(2, 0).with_fuzz(fuzz)).unwrap();
+            assert_eq!(out, (0..n).collect::<Vec<_>>());
         }
     }
 }

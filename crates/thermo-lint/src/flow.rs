@@ -1,4 +1,4 @@
-//! The v2 lint families (DESIGN.md §16). R1 and A1 scan the flat token
+//! The v2 lint families (DESIGN.md §16). R1 scans the flat token
 //! stream; X1 and T1 walk fn items over token trees.
 //!
 //! * **R1 `dropped_receipt`** — an `apply_plan`/`memory_view` result bound
@@ -8,11 +8,6 @@
 //! * **X1 `plan_op_exhaustiveness`** — a `_ =>` arm inside `local_window`
 //!   or `apply_op`. Both match `PlanOp` exhaustively, so rustc names a new
 //!   variant's missing arm; a wildcard arm would absorb it silently.
-//! * **A1 `atomic_ordering`** — `Ordering::Relaxed` combined with a
-//!   `head`/`tail` atomic op in executor code. The Chase–Lev deque's
-//!   correctness argument (DESIGN.md §15) is written entirely in terms
-//!   of Acquire/Release edges; a Relaxed access on the claim path is a
-//!   latent double-execution bug that no test reliably catches.
 //! * **T1 `rng_taint`** — intraprocedural taint: values produced by
 //!   seed-derivation or `draw_*` calls (and, inside `decide.rs`, raw RNG
 //!   draw methods) must not flow out of a bare-`pub` fn through `return`
@@ -40,20 +35,6 @@ const PLAN_OP_MATCH_FNS: [&str; 2] = ["local_window", "apply_op"];
 
 /// Seed-derivation fns whose results are taint sources everywhere (T1).
 const TAINT_SEED_FNS: [&str; 2] = ["derive_stream_seed", "splitmix64"];
-
-/// Atomic read-modify-write / load / store method names (A1).
-const ATOMIC_OPS: [&str; 10] = [
-    "load",
-    "store",
-    "swap",
-    "compare_exchange",
-    "compare_exchange_weak",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-];
 
 /// R1: `let _ = ….apply_plan(…);` (or `.memory_view(…)`). Runs on the flat
 /// (cfg-test-stripped) token stream. A receipt dropped as a statement is
@@ -135,52 +116,6 @@ pub fn lint_plan_op_wildcard(trees: &[Tree], file: &str, findings: &mut Vec<Find
             }
         }
     });
-}
-
-/// A1: `Ordering::Relaxed` in the same statement as a `head`/`tail`
-/// atomic op. Runs on the flat (cfg-test-stripped) token stream.
-pub fn lint_atomic_ordering(tokens: &[Token], file: &str, findings: &mut Vec<Finding>) {
-    for (i, tok) in tokens.iter().enumerate() {
-        if tok.kind.ident() != Some("Relaxed") {
-            continue;
-        }
-        let is_boundary = |t: &Token| {
-            matches!(
-                t.kind,
-                TokenKind::Punct(';') | TokenKind::Punct('{') | TokenKind::Punct('}')
-            )
-        };
-        let start = tokens[..i]
-            .iter()
-            .rposition(is_boundary)
-            .map_or(0, |p| p + 1);
-        let end = tokens[i..]
-            .iter()
-            .position(is_boundary)
-            .map_or(tokens.len(), |p| i + p);
-        let window = &tokens[start..end];
-        let field = window
-            .iter()
-            .filter_map(|t| t.kind.ident())
-            .find(|id| *id == "head" || *id == "tail");
-        let op = window.iter().enumerate().find_map(|(k, t)| {
-            let id = t.kind.ident()?;
-            let prev_dot = k > 0 && window[k - 1].kind == TokenKind::Punct('.');
-            (prev_dot && ATOMIC_OPS.contains(&id)).then_some(id)
-        });
-        if let (Some(field), Some(op)) = (field, op) {
-            findings.push(Finding::new(
-                file,
-                tok.line,
-                tok.col,
-                "atomic_ordering",
-                format!(
-                    "`Ordering::Relaxed` on deque `{field}` `{op}`: the Chase-Lev claim protocol is specified in Acquire/Release edges only"
-                ),
-                "use Acquire for loads and AcqRel for RMWs on head/tail (DESIGN.md §15), or allow(atomic_ordering) with a reason",
-            ));
-        }
-    }
 }
 
 /// T1: per-fn taint scan. `is_decide` widens the source set to raw RNG
@@ -374,7 +309,6 @@ fn expr_tainted(
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::lints::strip_cfg_test;
 
     fn run_r1(src: &str) -> Vec<Finding> {
         let mut out = Vec::new();
@@ -467,21 +401,5 @@ mod tests {
             }
         ";
         assert!(run_t1(src, false).is_empty());
-    }
-
-    #[test]
-    fn relaxed_on_deque_fields_is_flagged() {
-        let src = "
-            fn pop(&self) {
-                let h = self.head.load(Ordering::Relaxed);
-                let t = self.tail.load(Ordering::Acquire);
-                let n = self.len.load(Ordering::Relaxed);
-            }
-        ";
-        let toks = strip_cfg_test(&lex(src).tokens);
-        let mut out = Vec::new();
-        lint_atomic_ordering(&toks, "x.rs", &mut out);
-        assert_eq!(out.len(), 1, "{out:#?}");
-        assert_eq!(out[0].line, 3);
     }
 }

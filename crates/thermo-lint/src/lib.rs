@@ -7,7 +7,7 @@
 //! spirit of `thermo-util`'s hermetic philosophy: a small Rust lexer
 //! ([`lexer`]), a lightweight item skipper (so `#[cfg(test)]` code is out of
 //! scope), a brace-matched token-tree layer with fn-item recognition
-//! (`tree`), and ten lint families ([`lints`]).
+//! (`tree`), and nine lint families ([`lints`]).
 //!
 //! Token-stream families:
 //!
@@ -19,8 +19,7 @@
 //! * **S1 `seam_enforcement`** — policy crates naming engine mechanism
 //!   entry points instead of the `MemoryView`/`PolicyPlan` seam.
 //! * **E1 `panic_in_worker`** — panicking calls inside thermo-exec job
-//!   closures without an allow-pragma, and (in the executor crate) inside
-//!   the Chase-Lev steal path itself.
+//!   closures without an allow-pragma.
 //! * **E2 `completion_order_merge`** — channel receives in executor code,
 //!   which merge results in completion order instead of stable job-id
 //!   order and so break byte-identity across `THERMO_JOBS` settings.
@@ -34,8 +33,6 @@
 //! * **X1 `plan_op_exhaustiveness`** — a `_ =>` arm in `local_window` or
 //!   `apply_op`, which would let a new `PlanOp` variant slip past rustc's
 //!   exhaustiveness check.
-//! * **A1 `atomic_ordering`** — `Ordering::Relaxed` on the Chase-Lev
-//!   deque's `head`/`tail` in executor steal paths.
 //! * **T1 `rng_taint`** — seed/draw values must not escape through
 //!   non-decide public fns (intraprocedural taint, sanctioned `draw_*` /
 //!   `*_seed` egress names).
@@ -125,8 +122,8 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// Lints every workspace source under `root`; findings come back sorted by
 /// `(file, line, col, lint, …)` so output (and `--json`) is byte-stable.
 ///
-/// Per-file analysis fans out through the thermo-exec work-stealing pool
-/// (`THERMO_JOBS` workers); results merge in stable path order, so the
+/// Per-file analysis fans out through the thermo-exec pool (`THERMO_JOBS`
+/// workers); results merge in stable path order, so the
 /// report is byte-identical for every worker count.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     lint_workspace_with(root, thermo_exec::jobs_from_env())

@@ -13,10 +13,9 @@
 //! | `completion_order_merge` | E2     | executor merges by job id, never arrival   |
 //! | `dropped_receipt`        | R1     | no receipt/view bound to `_`               |
 //! | `plan_op_exhaustiveness` | X1     | no `_ =>` arm in the `PlanOp` matches      |
-//! | `atomic_ordering`        | A1     | Chase-Lev head/tail never `Relaxed`        |
 //! | `rng_taint`              | T1     | entropy values stay behind decide.rs       |
 //!
-//! D1–D3, S1, E1, E2 are token-stream pattern matches; R1/X1/A1/T1 live
+//! D1–D3, S1, E1, E2 are token-stream pattern matches; R1/X1/T1 live
 //! in [`crate::flow`] — see DESIGN.md §16 for the per-family rationale,
 //! including which half of R1 and X1 rustc enforces instead.
 //!
@@ -26,19 +25,16 @@
 //! a typo can never silently disable a real check and a suppression can
 //! never outlive the code it excused.
 //!
-//! E2 covers the work-stealing executor's merge discipline (DESIGN.md
-//! §15): results must be indexed and merged by stable job id. Any
-//! channel-receive in executor code is the canonical way to accidentally
-//! merge in *completion* order — which varies with steal interleaving —
-//! so E2 bans the recv family there outright. E1's closure pass is
-//! complemented by a steal-path pass: panicky calls inside any
-//! `fn …steal…` can fire on a thief's stack mid-claim, turning a benign
-//! race retry into a batch abort.
+//! E2 covers the executor's merge discipline (DESIGN.md §9): results
+//! must be indexed and merged by stable job id. Any channel-receive in
+//! executor code is the canonical way to accidentally merge in
+//! *completion* order — which varies with which worker claimed what —
+//! so E2 bans the recv family there outright.
 
 use crate::lexer::{lex, PragmaComment, Token, TokenKind};
 
 /// Canonical lint names, in family order.
-pub const LINT_NAMES: [&str; 11] = [
+pub const LINT_NAMES: [&str; 10] = [
     "unordered_iteration",
     "ambient_nondeterminism",
     "rng_containment",
@@ -47,7 +43,6 @@ pub const LINT_NAMES: [&str; 11] = [
     "completion_order_merge",
     "dropped_receipt",
     "plan_op_exhaustiveness",
-    "atomic_ordering",
     "rng_taint",
     "bad_pragma",
 ];
@@ -63,7 +58,6 @@ pub fn family_code(lint: &str) -> &'static str {
         "completion_order_merge" => "E2",
         "dropped_receipt" => "R1",
         "plan_op_exhaustiveness" => "X1",
-        "atomic_ordering" => "A1",
         "rng_taint" => "T1",
         _ => "P0",
     }
@@ -170,8 +164,6 @@ pub struct Scope {
     pub exec: bool,
     /// R1 applies (artifact crates touch engine receipts).
     pub receipt: bool,
-    /// A1 applies (the executor crate's Chase-Lev deque).
-    pub atomic: bool,
     /// T1 applies (everywhere outside the sanctioned RNG home,
     /// `thermo-util`, and the linter itself).
     pub taint: bool,
@@ -269,7 +261,6 @@ impl Scope {
             seam: POLICY_CRATES.contains(&crate_name.as_str()),
             exec: crate_name == "thermo-exec",
             receipt: ARTIFACT_CRATES.contains(&crate_name.as_str()),
-            atomic: crate_name == "thermo-exec",
             taint: !matches!(crate_name.as_str(), "thermo-util" | "thermo-lint"),
             is_decide,
             crate_name,
@@ -579,7 +570,7 @@ pub fn analyze_source(rel_path: &str, source: &str) -> FileAnalysis {
 
         // E2: completion-order merge hazards in executor code — receiving
         // from a channel yields results in arrival order, which varies
-        // with steal interleaving; the executor contract is job-id order.
+        // with which worker claimed what; the executor contract is job-id order.
         if scope.exec
             && ((prev_is_dot && RECV_METHODS.contains(&ident)) || (ident == "mpsc" && next_is_path))
         {
@@ -588,7 +579,7 @@ pub fn analyze_source(rel_path: &str, source: &str) -> FileAnalysis {
                 tok.line,
                 tok.col,
                 "completion_order_merge",
-                format!("`{ident}` in executor code merges results in completion order, which varies with steal interleaving"),
+                format!("`{ident}` in executor code merges results in completion order, which varies with which worker claimed what"),
                 "index results into a slot keyed by stable job id and merge slots in id order",
             );
         }
@@ -607,14 +598,8 @@ pub fn analyze_source(rel_path: &str, source: &str) -> FileAnalysis {
     }
 
     lint_job_closures(&tokens, &file, &mut findings);
-    if scope.exec {
-        lint_steal_fns(&tokens, &file, &mut findings);
-    }
     if scope.receipt {
         crate::flow::lint_dropped_receipt(&tokens, &file, &mut findings);
-    }
-    if scope.atomic {
-        crate::flow::lint_atomic_ordering(&tokens, &file, &mut findings);
     }
 
     // The fn-scoped passes run over the token-tree parse of the same
@@ -779,78 +764,6 @@ fn lint_job_closures(tokens: &[Token], file: &str, findings: &mut Vec<Finding>) 
             }
         }
         i = k.max(close + 1);
-    }
-}
-
-/// E1, steal-path pass: panicky calls inside any executor function whose
-/// name contains `steal`. The thief side of the Chase-Lev protocol runs
-/// concurrently with the owner and loses claim races by design; an
-/// `unwrap`/`expect`/`panic!` there turns a benign retry path into a
-/// whole-batch abort on a stack the job-level catch_unwind never sees.
-fn lint_steal_fns(tokens: &[Token], file: &str, findings: &mut Vec<Finding>) {
-    let mut i = 0;
-    while i < tokens.len() {
-        if tokens[i].kind.ident() != Some("fn") {
-            i += 1;
-            continue;
-        }
-        let is_steal_fn = tokens
-            .get(i + 1)
-            .and_then(|t| t.kind.ident())
-            .is_some_and(|name| name.contains("steal"));
-        if !is_steal_fn {
-            i += 1;
-            continue;
-        }
-        // Scan to the fn's body block, then to its matching close brace.
-        let mut j = i + 1;
-        while j < tokens.len() && tokens[j].kind != TokenKind::Punct('{') {
-            if tokens[j].kind == TokenKind::Punct(';') {
-                break; // trait method signature, no body
-            }
-            j += 1;
-        }
-        if tokens.get(j).map(|t| &t.kind) != Some(&TokenKind::Punct('{')) {
-            i = j.max(i + 1);
-            continue;
-        }
-        let mut depth = 0i32;
-        let mut k = j;
-        while k < tokens.len() {
-            match tokens[k].kind {
-                TokenKind::Punct('{') => depth += 1,
-                TokenKind::Punct('}') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        for t in &tokens[j + 1..k.min(tokens.len())] {
-            let Some(ident) = t.kind.ident() else {
-                continue;
-            };
-            let panicky = matches!(
-                ident,
-                "unwrap" | "expect" | "panic" | "unreachable" | "todo" | "unimplemented"
-            );
-            if panicky {
-                findings.push(Finding::new(
-                    file,
-                    t.line,
-                    t.col,
-                    "panic_in_worker",
-                    format!(
-                        "`{ident}` inside steal-path fn: a panic on the thief side aborts the batch outside the job-level catch"
-                    ),
-                    "losing a claim race is normal — return None/the error, or annotate with // thermo-lint: allow(panic_in_worker, reason = \"…\")",
-                ));
-            }
-        }
-        i = k.max(i + 1);
     }
 }
 

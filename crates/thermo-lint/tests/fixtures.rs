@@ -148,31 +148,6 @@ fn e1_panic_in_worker() {
 }
 
 #[test]
-fn e1_steal_path_pass_in_executor_crate() {
-    expect(
-        include_str!("fixtures/e1_steal.rs"),
-        "crates/thermo-exec/src/fixture.rs",
-        &[
-            ("panic_in_worker", 5, 40),
-            ("panic_in_worker", 10, 33),
-            ("panic_in_worker", 12, 9),
-        ],
-    );
-}
-
-#[test]
-fn e1_steal_pass_is_executor_scoped() {
-    // The same file outside thermo-exec: `steal` fn names elsewhere are
-    // not the Chase-Lev thief path, so only the closure pass applies
-    // (and this fixture has no JobCtx closures).
-    expect(
-        include_str!("fixtures/e1_steal.rs"),
-        "crates/thermo-sim/src/fixture.rs",
-        &[],
-    );
-}
-
-#[test]
 fn e2_completion_order_merge_in_executor_crate() {
     expect(
         include_str!("fixtures/e2_exec_order.rs"),
@@ -246,28 +221,6 @@ fn r1_out_of_scope_in_infra_crate() {
     expect(
         include_str!("fixtures/r1_receipt.rs"),
         "crates/thermo-util/src/fixture.rs",
-        &[("bad_pragma", 5, 5)],
-    );
-}
-
-#[test]
-fn a1_relaxed_on_deque_fields() {
-    // Line 3 (Relaxed tail load) is a finding; line 6 is pragma-excused;
-    // Acquire loads and non-head/tail atomics are clean.
-    expect(
-        include_str!("fixtures/a1_atomic.rs"),
-        "crates/thermo-exec/src/fixture.rs",
-        &[("atomic_ordering", 3, 35)],
-    );
-}
-
-#[test]
-fn a1_is_executor_scoped() {
-    // Outside thermo-exec the deque fields mean nothing; the stranded
-    // pragma on line 5 becomes the only finding.
-    expect(
-        include_str!("fixtures/a1_atomic.rs"),
-        "crates/thermo-sim/src/fixture.rs",
         &[("bad_pragma", 5, 5)],
     );
 }

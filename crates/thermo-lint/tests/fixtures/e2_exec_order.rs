@@ -2,7 +2,7 @@
 fn merge_by_arrival(rx: Receiver<(usize, u64)>) -> Vec<u64> {
     let mut out = Vec::new();
     while let Ok((_, v)) = rx.recv() {
-        // the recv on line 4 is a finding: arrival order varies with steals
+        // the recv on line 4 is a finding: arrival order varies with claims
         out.push(v);
     }
     out

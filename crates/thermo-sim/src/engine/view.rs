@@ -218,9 +218,8 @@ impl Engine {
                     move |_ctx: &thermo_exec::JobCtx| collect_range(pt, mem, trap, s, n)
                 })
                 .collect();
-            let cfg = thermo_exec::ExecConfig::new(workers, 0)
-                .with_fuzz(thermo_exec::exec_fuzz_from_env());
-            thermo_exec::run_jobs(jobs, &cfg).expect("read-only snapshot shards cannot panic")
+            thermo_exec::run_jobs(jobs, &thermo_exec::ExecConfig::new(workers, 0))
+                .expect("read-only snapshot shards cannot panic")
         };
 
         let mut pages = Vec::new();

@@ -240,15 +240,18 @@ thermo_util::json_struct!(ShardOutcome {
 /// workload, and policy — across the [`thermo_exec`] worker pool and
 /// returns their outcomes **in shard-id order**.
 ///
-/// `build` is called once per shard, *on the worker thread that runs the
-/// shard*, with `(shard_id, seed)` where
+/// `build` is called with `(shard_id, seed)` where
 /// `seed = derive_stream_seed(cfg.base_seed, shard_id)`; it must
 /// construct the tenant purely from those two values (plus captured
-/// configuration) so the shard is a pure function of its id. Each tenant
-/// then runs for `duration_ns` of its own virtual time. Because tenants
-/// share no state and results merge by shard id, the output is
-/// byte-identical for any worker count — the scale-out path promised in
-/// the ROADMAP without giving up artifact determinism.
+/// configuration) so the shard is a pure function of its id. It is
+/// called once per shard on the worker thread that runs the shard, plus
+/// once more for shard 0 on the calling thread: that probe reads
+/// `SchedConfig::coscheduled`, and when it is set the whole batch runs
+/// through [`crate::sched::run_tenants_coscheduled`] on the calling
+/// thread instead. Each tenant runs for `duration_ns` of its own virtual
+/// time. Because tenants share no state and results merge by shard id,
+/// the output is byte-identical for any worker count — the scale-out
+/// path promised in the ROADMAP without giving up artifact determinism.
 ///
 /// # Errors
 ///

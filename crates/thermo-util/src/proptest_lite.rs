@@ -375,9 +375,10 @@ impl<S: Strategy> Strategy for VecOf<S> {
             out.push(value[..len / 2].to_vec());
             out.push(value[len - len / 2..].to_vec());
         }
-        // Drop single elements (bounded).
+        // Drop single elements, last first: ops after the one that fails
+        // go at one candidate each (the runner's budget bounds the rest).
         if len > self.min_len {
-            for i in 0..len.min(8) {
+            for i in (0..len).rev() {
                 let mut v = value.clone();
                 v.remove(i);
                 out.push(v);

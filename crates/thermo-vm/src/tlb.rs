@@ -255,21 +255,29 @@ impl Array {
     fn insert(&mut self, vpn: Vpn, pfn: Pfn, size: PageSize, vpid: Vpid, tick: u64) {
         let want = pack_tag(vpn, size, vpid);
         let base = self.set_index(vpn, size) * self.ways;
-        // Reuse an existing entry for the same tag, else invalid, else LRU.
-        let mut victim = base;
+        // Reuse an existing entry for the same tag, else the first invalid
+        // way, else LRU (first on ties). An invalid way before the tag's
+        // own must not win: that would leave two copies of the tag and
+        // evict a live entry while a way is free.
+        let mut same = None;
+        let mut free = None;
+        let mut lru = base;
         let mut best = u64::MAX;
         let tags = &self.tags[base..base + self.ways];
         let lrus = &self.lrus[base..base + self.ways];
         for (i, (&t, &l)) in tags.iter().zip(lrus).enumerate() {
-            if t & TAG_VALID == 0 || t == want {
-                victim = base + i;
+            if t == want {
+                same = Some(base + i);
                 break;
             }
-            if l < best {
+            if t & TAG_VALID == 0 {
+                free.get_or_insert(base + i);
+            } else if l < best {
                 best = l;
-                victim = base + i;
+                lru = base + i;
             }
         }
+        let victim = same.or(free).unwrap_or(lru);
         self.note_cleared(self.tags[victim]);
         self.valid[size_class(size)] += 1;
         self.tags[victim] = want;
@@ -601,6 +609,30 @@ mod tests {
         assert!(matches!(
             tlb.lookup(Vpn(1), V0),
             TlbOutcome::HitL1 { pfn: Pfn(99), .. }
+        ));
+    }
+
+    #[test]
+    fn reinsert_after_a_shootdown_keeps_the_free_way() {
+        // One 3-way set everywhere. Re-inserting B must update B's own
+        // way, not fill the way A's shootdown freed, so Y takes that way
+        // and X survives.
+        let cfg = TlbConfig {
+            l1_small: TlbGeometry::new(3, 3),
+            l1_huge: TlbGeometry::new(3, 3),
+            l2: TlbGeometry::new(3, 3),
+            l2_hit_ns: 7,
+        };
+        let mut tlb = Tlb::new(cfg);
+        for vpn in [1, 2, 3] {
+            tlb.insert(Vpn(vpn), Pfn(vpn * 10), PageSize::Small4K, V0);
+        }
+        tlb.shootdown(Vpn(1), PageSize::Small4K, V0);
+        tlb.insert(Vpn(3), Pfn(30), PageSize::Small4K, V0);
+        tlb.insert(Vpn(4), Pfn(40), PageSize::Small4K, V0);
+        assert!(matches!(
+            tlb.lookup(Vpn(2), V0),
+            TlbOutcome::HitL1 { pfn: Pfn(20), .. }
         ));
     }
 

@@ -223,8 +223,8 @@ done
 # THERMO_JOBS workers, but tolerance bands could in principle mask a
 # sub-band scheduling leak. Bless the heaviest sharded experiment with
 # one worker and with an oversubscribed pool into temporary trees and
-# compare the artifact BYTES directly — the work-stealing merge
-# (DESIGN.md §15) must make worker count entirely unobservable.
+# compare the artifact BYTES directly — the job-id-order merge
+# (DESIGN.md §9) must make worker count entirely unobservable.
 echo "==> executor worker-count cross-check (scen_fleet, THERMO_JOBS=1 vs 8, byte compare)"
 for jobs in 1 8; do
   rm -rf "$PWD/$bdir/fleet-jobs$jobs"
@@ -234,15 +234,24 @@ done
 cmp "$bdir/fleet-jobs1/scen_fleet.json" "$bdir/fleet-jobs8/scen_fleet.json"
 echo "    byte-identical"
 
-# Steal-order fuzz sweep: THERMO_EXEC_FUZZ=<seed> makes every worker
-# visit steal victims in a seeded-shuffled order, adversarially
-# perturbing which worker executes which job. Goldens must still verify
-# under an oversubscribed pool for every seed — the in-process version
-# is thermo-bench/tests/exec_determinism.rs; this is the live
-# end-to-end guard at the binary boundary.
+# Executor claim-order fuzz sweep: THERMO_EXEC_FUZZ=<seed> makes the
+# workers claim jobs in a seeded-shuffled order, adversarially perturbing
+# which worker executes which job. Under an oversubscribed pool, every
+# seed must bless artifacts byte-identical to the committed goldens —
+# the in-process version is thermo-bench/tests/exec_determinism.rs; this
+# is the live end-to-end guard at the binary boundary.
 for fuzz_seed in 1 2 3735928559 6840227782638526189; do
-  echo "==> steal-order fuzz check (THERMO_EXEC_FUZZ=$fuzz_seed, THERMO_JOBS=8, scen_fleet fig8)"
-  THERMO_EXEC_FUZZ=$fuzz_seed THERMO_JOBS=8 scripts/golden.sh check scen_fleet fig8
+  echo "==> executor claim-order fuzz byte check (THERMO_EXEC_FUZZ=$fuzz_seed, THERMO_JOBS=8, scen_fleet fig8)"
+  fuzzdir="$PWD/$bdir/exec-fuzz-$fuzz_seed"
+  rm -rf "$fuzzdir"
+  THERMO_EXEC_FUZZ=$fuzz_seed THERMO_JOBS=8 THERMO_GOLDEN_DIR="$fuzzdir" \
+    scripts/golden.sh bless scen_fleet fig8 >/dev/null
+  for name in scen_fleet fig8; do
+    cmp "$fuzzdir/$name.json" "goldens/$name.json" || {
+      echo "FAIL: goldens/$name.json is not byte-identical under THERMO_EXEC_FUZZ=$fuzz_seed" >&2
+      exit 1
+    }
+  done
 done
 
 echo "CI OK"
