@@ -6,9 +6,12 @@
 //! and aggregate write volume so harnesses can verify that claim, and also
 //! reports a simple hot-spot metric (max per-frame writes) that a start-gap
 //! style wear-leveller would flatten.
+//!
+//! Counters live in dense blocks, one per 2MB physical region, allocated
+//! on the region's first write, and the aggregates are kept running, so a
+//! write, a frame lookup and a statistics snapshot each cost O(1).
 
-use crate::addr::Pfn;
-use std::collections::BTreeMap;
+use crate::addr::{Pfn, PAGES_PER_HUGE};
 
 /// Aggregate wear statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -49,11 +52,25 @@ impl WearStats {
     }
 }
 
+/// One 2MB region's counters. Each holds one more than its frame's bytes
+/// written, so 0 means never written and a zero-byte write still marks its
+/// frame written.
+type Block = [u64; PAGES_PER_HUGE];
+
 /// Per-frame write tracker for the slow tier.
 #[derive(Debug, Default)]
 pub struct WearTracker {
-    per_frame: BTreeMap<Pfn, u64>,
+    /// Indexed by region (`pfn >> 9`), up to the highest region written.
+    regions: Vec<Option<Box<Block>>>,
     total: u64,
+    frames_written: u64,
+    max_frame: u64,
+}
+
+/// The region of `pfn` and its frame within the region.
+fn locate(pfn: Pfn) -> (usize, usize) {
+    let region = pfn.0 / PAGES_PER_HUGE as u64;
+    (region as usize, (pfn.0 % PAGES_PER_HUGE as u64) as usize)
 }
 
 impl WearTracker {
@@ -64,7 +81,18 @@ impl WearTracker {
 
     /// Records `bytes` written to `pfn`.
     pub fn record_write(&mut self, pfn: Pfn, bytes: u64) {
-        *self.per_frame.entry(pfn).or_insert(0) += bytes;
+        let (region, frame) = locate(pfn);
+        if region >= self.regions.len() {
+            self.regions.resize_with(region + 1, || None);
+        }
+        let block = self.regions[region].get_or_insert_with(|| Box::new([0; PAGES_PER_HUGE]));
+        let counter = &mut block[frame];
+        if *counter == 0 {
+            *counter = 1;
+            self.frames_written += 1;
+        }
+        *counter += bytes;
+        self.max_frame = self.max_frame.max(*counter - 1);
         self.total += bytes;
     }
 
@@ -72,21 +100,24 @@ impl WearTracker {
     pub fn stats(&self) -> WearStats {
         WearStats {
             total_bytes_written: self.total,
-            frames_written: self.per_frame.len() as u64,
-            max_frame_bytes: self.per_frame.values().copied().max().unwrap_or(0),
+            frames_written: self.frames_written,
+            max_frame_bytes: self.max_frame,
         }
     }
 
     /// Bytes written to one frame.
     pub fn frame_bytes(&self, pfn: Pfn) -> u64 {
-        self.per_frame.get(&pfn).copied().unwrap_or(0)
+        let (region, frame) = locate(pfn);
+        match self.regions.get(region) {
+            Some(Some(block)) => block[frame].saturating_sub(1),
+            _ => 0,
+        }
     }
 
     /// Clears all recorded wear (used when the tracked device is logically
     /// replaced between experiment phases).
     pub fn reset(&mut self) {
-        self.per_frame.clear();
-        self.total = 0;
+        *self = Self::default();
     }
 }
 
@@ -138,7 +169,19 @@ mod tests {
         let mut w = WearTracker::new();
         w.record_write(Pfn(0), 1);
         w.reset();
-        assert_eq!(w.stats().total_bytes_written, 0);
-        assert_eq!(w.stats().frames_written, 0);
+        assert_eq!(w.stats(), WearStats::default());
+        assert_eq!(w.frame_bytes(Pfn(0)), 0);
+    }
+
+    #[test]
+    fn a_zero_byte_write_marks_its_frame_written() {
+        let mut w = WearTracker::new();
+        w.record_write(Pfn(3 << 9 | 7), 0);
+        let s = w.stats();
+        assert_eq!(s.frames_written, 1);
+        assert_eq!(s.max_frame_bytes, 0);
+        assert_eq!(w.frame_bytes(Pfn(3 << 9 | 7)), 0);
+        w.record_write(Pfn(3 << 9 | 7), 0);
+        assert_eq!(w.stats().frames_written, 1);
     }
 }

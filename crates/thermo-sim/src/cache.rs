@@ -7,15 +7,28 @@
 //! incur both TLB and cache misses as there is no temporal locality").
 //! Modelling the LLC lets the harnesses verify that claim (and lets the
 //! Figure 2 study measure true memory access rates).
+//!
+//! Each set is one 64-byte row of sixteen `u32` tags, aligned to a
+//! host cache line, plus one `u64` recency order: nibble `k` names the way
+//! at recency rank `k`, rank 0 the most recent. A probe compares the rank-0
+//! way first, then the whole row without branches; a hit or fill moves its
+//! way to rank 0. The victim is the lowest invalid way, else the way at
+//! rank `ways - 1`. That is exactly true LRU: every access moves one way to
+//! rank 0, so valid ways sit in the order of their last use, and the
+//! deepest one is the least recent whenever no way is invalid. Where an
+//! invalid way sits never matters, because an invalid way always wins.
 
 use thermo_mem::{Pfn, CACHE_LINE_BYTES, HUGE_PAGE_BYTES};
+
+/// Widest associativity the set rows hold.
+const MAX_WAYS: usize = 16;
 
 /// Geometry and latency of the LLC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LlcConfig {
     /// Capacity in bytes.
     pub size_bytes: u64,
-    /// Associativity.
+    /// Associativity, at most 16.
     pub ways: usize,
     /// Hit latency, ns.
     pub hit_ns: u64,
@@ -26,7 +39,7 @@ impl LlcConfig {
     pub fn sets(&self) -> usize {
         let lines = self.size_bytes as usize / CACHE_LINE_BYTES;
         assert!(
-            lines.is_multiple_of(self.ways) && lines > 0,
+            self.ways <= MAX_WAYS && lines.is_multiple_of(self.ways) && lines > 0,
             "bad LLC geometry"
         );
         lines / self.ways
@@ -45,22 +58,35 @@ impl Default for LlcConfig {
     }
 }
 
-// Each way is one u64 word: the packed tag (`line << 1 | valid`) in the
-// high 32 bits and the LRU stamp in the low 32 — so a set is one short
-// dense row, a probe touches half the cache lines of split tag/stamp
-// arrays, and a hit restamps the word it just compared. Line numbers must
-// fit 31 bits (128GB of physical memory at 64B lines — far beyond any
-// simulated machine), asserted at access. Stamps saturate at `u32::MAX`
-// ticks; the (practically unreachable) wrap point renormalises each set's
-// stamps to their within-set rank, which preserves LRU order exactly.
-const LINE_VALID: u64 = 1;
-const STAMP_BITS: u32 = 32;
-const STAMP_MASK: u64 = (1 << STAMP_BITS) - 1;
+// A tag is `line << 1 | valid`, so line numbers must fit 31 bits (128GB of
+// physical memory at 64B lines, far beyond any simulated machine),
+// asserted at access. Ways past the geometry's `ways` hold 0, which no
+// packed line equals.
+const LINE_VALID: u32 = 1;
 
 #[inline]
-fn pack_line(line: u64) -> u64 {
+fn pack_line(line: u64) -> u32 {
     assert!(line < 1 << 31, "line number overflows tag");
-    (line << 1) | LINE_VALID
+    ((line as u32) << 1) | LINE_VALID
+}
+
+// A set's order word is stored XOR the identity order (nibble `k` holds
+// way `k`), so the zeroed store every set starts from is a fresh set.
+const IDENTITY: u64 = 0xFEDC_BA98_7654_3210;
+const NIBBLES: u64 = 0x1111_1111_1111_1111;
+
+/// Moves `way` to rank 0 of the recency order `order` and shifts every
+/// way ranked above its old rank down by one.
+#[inline]
+fn promote(order: u64, way: usize) -> u64 {
+    // The nibble holding `way` is the one zero nibble of `x`, and the
+    // lowest nibble the borrow trick flags is always a true zero.
+    let x = order ^ (NIBBLES * way as u64);
+    let zero = x.wrapping_sub(NIBBLES) & !x & (NIBBLES << 3);
+    let shift = zero.trailing_zeros() & !3;
+    let newer = order & ((1 << shift) - 1);
+    let older = order & ((!0 << shift) << 4);
+    older | (newer << 4) | way as u64
 }
 
 // Deferred bulk invalidation works on 2MB-aligned physical regions of
@@ -78,15 +104,16 @@ pub struct Llc {
     /// selects the mask fast path over the division in set indexing.
     mask: usize,
     pow2: bool,
-    /// Packed rows: set `s` occupies `data[s*ways .. (s+1)*ways]`, one
-    /// `tag << 32 | stamp` word per way.
-    data: Vec<u64>,
-    /// Per-set most-recently-hit/filled way — pure acceleration state: a
-    /// probe checks it first and repeat hits cost one compare instead of
-    /// an average half-row scan. Never consulted for eviction, so hit/miss
-    /// outcomes and victim choices are identical with or without it.
-    mru: Vec<u32>,
-    tick: u64,
+    /// Bit `w` set for every way `w < ways`.
+    ways_mask: u32,
+    /// Tag rows: set `s` occupies `tags[skip + s*MAX_WAYS..][..MAX_WAYS]`.
+    /// The store has one spare row so that `skip` can start every row on a
+    /// 64-byte host boundary; it is allocated zeroed, so untouched rows
+    /// cost no host memory.
+    tags: Vec<u32>,
+    skip: usize,
+    /// Per-set recency order, stored XOR [`IDENTITY`].
+    order: Vec<u64>,
     /// Bitmap of 2MB regions whose lines [`invalidate_frames`] dropped but
     /// the tag store still holds valid, as long as the highest region
     /// marked needs; empty when nothing is pending. The next [`access`]
@@ -110,14 +137,17 @@ impl Llc {
     /// Creates an LLC with the given geometry.
     pub fn new(config: LlcConfig) -> Self {
         let sets = config.sets();
+        let tags = vec![0u32; (sets + 1) * MAX_WAYS];
+        let skip = (tags.as_ptr() as usize).wrapping_neg() % 64 / size_of::<u32>();
         Self {
             config,
             sets,
             mask: sets.wrapping_sub(1),
             pow2: sets.is_power_of_two(),
-            data: vec![0; sets * config.ways],
-            mru: vec![0; sets],
-            tick: 0,
+            ways_mask: (1 << config.ways) - 1,
+            tags,
+            skip,
+            order: vec![0; sets],
             pending: Vec::new(),
         }
     }
@@ -129,6 +159,14 @@ impl Llc {
         } else {
             (line as usize) % self.sets
         }
+    }
+
+    #[inline]
+    fn row_mut(&mut self, set: usize) -> &mut [u32; MAX_WAYS] {
+        let base = self.skip + set * MAX_WAYS;
+        (&mut self.tags[base..base + MAX_WAYS])
+            .try_into()
+            .expect("a row is MAX_WAYS tags")
     }
 
     /// Configuration in use.
@@ -144,105 +182,60 @@ impl Llc {
         if !self.pending.is_empty() {
             self.sweep_pending();
         }
-        if self.tick >= STAMP_MASK {
-            self.renormalize();
-        }
-        self.tick += 1;
-        let tick = self.tick;
         let want = pack_line(line);
-        let ways = self.config.ways;
         let set = self.set_index(line);
-        let base = set * ways;
-        let row = &mut self.data[base..base + ways];
-        // MRU short-circuit: repeat hits to a set's hottest line resolve
-        // on the first compare. Tags are unique within a set, so finding
-        // the tag anywhere is the same hit.
-        let h = self.mru[set] as usize;
-        if h < ways && row[h] >> STAMP_BITS == want {
-            row[h] = (want << STAMP_BITS) | tick;
+        let order = self.order[set] ^ IDENTITY;
+        let deepest = 4 * (self.config.ways as u32 - 1);
+        let ways_mask = self.ways_mask;
+        let row = self.row_mut(set);
+        // A repeat hit on the most recent way needs no reordering.
+        if row[(order & 0xF) as usize] == want {
             return true;
         }
-        // One pass: probe for the tag while tracking the would-be victim —
-        // the first invalid way, else the set's LRU way (first-minimum wins
-        // on ties, matching the split-array layout). Tags are unique within
-        // a set, so early-returning on the hit loses nothing.
-        let mut invalid = usize::MAX;
-        let mut victim = 0;
-        let mut best = u64::MAX;
-        for i in 0..ways {
-            let w = row[i];
-            let tag = w >> STAMP_BITS;
-            if tag == want {
-                row[i] = (want << STAMP_BITS) | tick;
-                self.mru[set] = i as u32;
-                return true;
-            }
-            if tag & LINE_VALID == 0 {
-                invalid = invalid.min(i);
-            } else if w & STAMP_MASK < best {
-                best = w & STAMP_MASK;
-                victim = i;
-            }
+        let mut hits = 0u32;
+        let mut free = 0u32;
+        for (i, &tag) in row.iter().enumerate() {
+            hits |= ((tag == want) as u32) << i;
+            free |= ((tag & LINE_VALID == 0) as u32) << i;
         }
-        let victim = if invalid != usize::MAX {
-            invalid
+        // Tags are unique within a set, so at most one way hits.
+        let hit = hits != 0;
+        let way = if hit {
+            hits.trailing_zeros() as usize
         } else {
+            let free = free & ways_mask;
+            let victim = if free != 0 {
+                free.trailing_zeros() as usize
+            } else {
+                (order >> deepest & 0xF) as usize
+            };
+            row[victim] = want;
             victim
         };
-        row[victim] = (want << STAMP_BITS) | tick;
-        self.mru[set] = victim as u32;
-        false
+        self.order[set] = promote(order, way) ^ IDENTITY;
+        hit
     }
 
     /// Drops every valid line of every pending region in one pass over the
-    /// tag store, then empties the bitmap. Clearing a valid bit touches no
-    /// stamp and no MRU hint, and only [`access`](Self::access) reads valid
+    /// tag store, then empties the bitmap. Clearing a valid bit leaves the
+    /// recency order alone, and only [`access`](Self::access) reads valid
     /// bits, so running this at the next access is indistinguishable from
     /// running it at each [`invalidate_frames`](Self::invalidate_frames).
     #[cold]
     fn sweep_pending(&mut self) {
         let pending = &self.pending;
-        for w in &mut self.data {
-            let tag = *w >> STAMP_BITS;
-            let region = (tag >> (1 + REGION_SHIFT)) as usize;
-            if tag & LINE_VALID != 0
+        // The alignment padding around the rows is 0, never valid.
+        for tag in &mut self.tags {
+            let region = (*tag >> (1 + REGION_SHIFT)) as usize;
+            if *tag & LINE_VALID != 0
                 && pending
                     .get(region / 64)
                     .is_some_and(|bits| bits >> (region % 64) & 1 != 0)
             {
-                *w &= !(LINE_VALID << STAMP_BITS);
+                *tag &= !LINE_VALID;
             }
         }
         self.pending.clear();
-    }
-
-    /// Rewrites every set's LRU stamps to their within-set rank so the
-    /// global tick can restart at `ways`. Relative stamp order — the only
-    /// thing eviction reads — is preserved exactly, so the cache behaves
-    /// identically to one with unbounded stamps. Runs once per `u32::MAX`
-    /// accesses, i.e. effectively never.
-    #[cold]
-    fn renormalize(&mut self) {
-        let ways = self.config.ways;
-        let mut ranks = vec![0u64; ways];
-        for s in 0..self.sets {
-            let row = &mut self.data[s * ways..(s + 1) * ways];
-            for i in 0..ways {
-                let si = row[i] & STAMP_MASK;
-                let mut rank = 0u64;
-                for (j, w) in row.iter().enumerate() {
-                    let sj = w & STAMP_MASK;
-                    if sj < si || (sj == si && j < i) {
-                        rank += 1;
-                    }
-                }
-                ranks[i] = rank;
-            }
-            for (w, r) in row.iter_mut().zip(&ranks) {
-                *w = (*w & !STAMP_MASK) | r;
-            }
-        }
-        self.tick = ways as u64;
     }
 
     /// Invalidates every line belonging to the 4KB frame `pfn` (used when a
@@ -253,11 +246,10 @@ impl Llc {
         let lines_per_page = 4096 / CACHE_LINE_BYTES as u64;
         for line in first_line..first_line + lines_per_page {
             let want = pack_line(line);
-            let ways = self.config.ways;
-            let base = self.set_index(line) * ways;
-            for w in &mut self.data[base..base + ways] {
-                if *w >> STAMP_BITS == want {
-                    *w &= !(LINE_VALID << STAMP_BITS);
+            let set = self.set_index(line);
+            for tag in self.row_mut(set) {
+                if *tag == want {
+                    *tag &= !LINE_VALID;
                 }
             }
         }
@@ -295,10 +287,9 @@ impl Llc {
             }
             return;
         }
-        for w in &mut self.data {
-            let tag = *w >> STAMP_BITS;
-            if tag & LINE_VALID != 0 && (tag >> 1).wrapping_sub(first_line) < n_lines {
-                *w &= !(LINE_VALID << STAMP_BITS);
+        for tag in &mut self.tags {
+            if *tag & LINE_VALID != 0 && u64::from(*tag >> 1).wrapping_sub(first_line) < n_lines {
+                *tag &= !LINE_VALID;
             }
         }
     }
@@ -322,18 +313,103 @@ mod tests {
         })
     }
 
-    /// The tag store as the next access sees it: pending regions swept.
-    fn settled(c: &mut Llc) -> &[u64] {
+    /// The tag store and recency orders as the next access sees them:
+    /// pending regions swept.
+    fn settled(c: &mut Llc) -> (Vec<u32>, Vec<u64>) {
         if !c.pending.is_empty() {
             c.sweep_pending();
         }
-        &c.data
+        state(c)
+    }
+
+    fn state(c: &Llc) -> (Vec<u32>, Vec<u64>) {
+        (store(c).to_vec(), c.order.clone())
+    }
+
+    /// The rows of every set, in set order.
+    fn store(c: &Llc) -> &[u32] {
+        &c.tags[c.skip..c.skip + c.sets * MAX_WAYS]
     }
 
     /// Whether a valid copy of `line` sits in the tag store right now.
     fn resident(c: &Llc, line: u64) -> bool {
         let want = pack_line(line);
-        c.data.iter().any(|w| w >> STAMP_BITS == want)
+        store(c).contains(&want)
+    }
+
+    /// The recency order that lists `ranks` most recent first, then the
+    /// other ways in way order.
+    fn order_of(ranks: &[usize]) -> u64 {
+        let mut order = IDENTITY;
+        for &way in ranks.iter().rev() {
+            order = promote(order, way);
+        }
+        order
+    }
+
+    #[test]
+    fn promote_moves_one_way_to_the_front() {
+        let ranks = |order: u64| -> Vec<u64> { (0..16).map(|k| order >> (4 * k) & 0xF).collect() };
+        // The most recent way stays put.
+        assert_eq!(promote(IDENTITY, 0), IDENTITY);
+        // Ways above the promoted one shift down a rank, those below stay.
+        let order = promote(IDENTITY, 5);
+        assert_eq!(
+            ranks(order),
+            [5, 0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]
+        );
+        let deepest = promote(order, 15);
+        assert_eq!(
+            ranks(deepest),
+            [15, 5, 0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14]
+        );
+        // Against a list model over many promotions: the order stays a
+        // permutation with the promoted way first.
+        let mut model: Vec<u64> = (0..16).collect();
+        let mut order = IDENTITY;
+        for i in 0..500u64 {
+            let way = (i * 7 + i / 3) % 16;
+            order = promote(order, way as usize);
+            model.retain(|&w| w != way);
+            model.insert(0, way);
+            assert_eq!(ranks(order), model, "after promoting way {way}");
+        }
+        assert_eq!(order_of(&[3, 1]), promote(promote(IDENTITY, 1), 3));
+    }
+
+    #[test]
+    fn a_zeroed_order_word_is_a_fresh_set() {
+        let mut c = tiny();
+        assert!(c.order.iter().all(|&o| o == 0));
+        // Fills take the lowest invalid way; after filling way 0 then way
+        // 1 of set 0, way 1 is most recent.
+        c.access(0);
+        c.access(2);
+        assert_eq!(c.order[0] ^ IDENTITY, order_of(&[1, 0]));
+        assert_eq!(c.order[1], 0, "set 1 untouched");
+    }
+
+    #[test]
+    fn rows_start_on_a_host_cache_line() {
+        let c = Llc::new(LlcConfig::default());
+        assert_eq!(store(&c).as_ptr() as usize % 64, 0);
+        assert!(store(&c).iter().all(|&t| t == 0));
+    }
+
+    #[test]
+    fn ways_past_the_geometry_are_never_used() {
+        // 3 ways: fills must stay in ways 0..3 of each row.
+        let mut c = Llc::new(LlcConfig {
+            size_bytes: 4 * 3 * 64,
+            ways: 3,
+            hit_ns: 1,
+        });
+        for l in 0..400u64 {
+            c.access(l * 5 % 97);
+        }
+        for row in store(&c).chunks(MAX_WAYS) {
+            assert!(row[3..].iter().all(|&t| t == 0));
+        }
     }
 
     #[test]
@@ -419,7 +495,7 @@ mod tests {
         for f in 3u64..8 {
             per.invalidate_frame(Pfn(f));
         }
-        assert_eq!(bulk.data, per.data, "tag stores must match exactly");
+        assert_eq!(state(&bulk), state(&per), "tag stores must match exactly");
         for l in (0..1000u64).chain(100_000..100_300) {
             assert_eq!(bulk.access(l), per.access(l), "line {l}");
         }
@@ -457,7 +533,7 @@ mod tests {
         }
         assert_eq!(
             settled(&mut bulk),
-            per.data,
+            state(&per),
             "tag stores must match exactly"
         );
         assert!(!page.clone().any(|l| resident(&bulk, l)));
@@ -495,7 +571,7 @@ mod tests {
             bulk.pending.is_empty(),
             "the access swept every pending region"
         );
-        assert_eq!(bulk.data, per.data);
+        assert_eq!(state(&bulk), state(&per));
     }
 
     #[test]
@@ -517,37 +593,21 @@ mod tests {
     }
 
     #[test]
-    fn renormalize_preserves_lru_behaviour() {
-        // Stamp renormalisation must leave eviction decisions untouched:
-        // feed two identically-warmed caches the same tail of accesses,
-        // with one renormalised in between, and compare every outcome.
-        let build = || {
-            let mut c = Llc::new(LlcConfig {
-                size_bytes: 8 << 10, // 8 sets x 16 ways
-                ways: 16,
-                hit_ns: 10,
-            });
-            for l in 0..1000u64 {
-                c.access(l % 300);
-            }
-            c
-        };
-        let mut plain = build();
-        let mut renormed = build();
-        renormed.renormalize();
-        assert!(renormed.tick < plain.tick, "renorm must rewind the tick");
-        for l in 0..2000u64 {
-            let line = (l * 7) % 400;
-            assert_eq!(plain.access(line), renormed.access(line), "line {line}");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "bad LLC geometry")]
     fn bad_geometry_panics() {
         Llc::new(LlcConfig {
             size_bytes: 100,
             ways: 3,
+            hit_ns: 1,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "bad LLC geometry")]
+    fn more_ways_than_a_row_holds_panics() {
+        Llc::new(LlcConfig {
+            size_bytes: 32 * 64,
+            ways: 32,
             hit_ns: 1,
         });
     }

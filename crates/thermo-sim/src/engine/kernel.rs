@@ -235,11 +235,10 @@ impl Engine {
                 self.llc.invalidate_frame(old);
             }
         }
-        for (i, &old) in olds.iter().enumerate() {
+        for &old in &olds {
             self.mem.free(self.mem.tier_of(old), old, PageSize::Small4K);
-            self.tlb
-                .shootdown(base_vpn.offset(i as u64), PageSize::Small4K, self.vpid);
         }
+        self.tlb.shootdown_window(base_vpn, self.vpid);
         let cost = self
             .mig
             .record(target, PageSize::Huge2M, self.clock.now_ns());

@@ -376,20 +376,22 @@ impl Engine {
 
     fn minor_fault(&mut self, vpn: Vpn, lat: &mut u64) -> Mapping {
         let va = vpn.addr();
-        let vma = self
+        // Copy out only what paging needs: cloning the VMA would clone its
+        // name on every fault.
+        let (start, end, thp, writable) = self
             .process
             .find(va)
-            .unwrap_or_else(|| panic!("segfault: access to unmapped {va}"))
-            .clone();
+            .map(|vma| (vma.start, vma.end(), vma.thp, vma.writable))
+            .unwrap_or_else(|| panic!("segfault: access to unmapped {va}"));
         let huge_base = va.align_down(PageSize::Huge2M);
         let huge_fits = self.config.thp_enabled
-            && vma.thp
-            && huge_base >= vma.start
-            && huge_base.0 + PageSize::Huge2M.bytes() as u64 <= vma.end().0;
+            && thp
+            && huge_base >= start
+            && huge_base.0 + PageSize::Huge2M.bytes() as u64 <= end.0;
         if huge_fits && self.fast_has_room(PageSize::Huge2M.bytes() as u64) {
             if let Ok(frame) = self.mem.alloc(Tier::Fast, PageSize::Huge2M) {
                 self.pt
-                    .map_huge(huge_base.vpn(), frame, vma.writable)
+                    .map_huge(huge_base.vpn(), frame, writable)
                     .expect("demand-paged huge window must be unmapped");
                 *lat += self.config.minor_fault_huge_ns;
                 self.stats.minor_faults_huge += 1;
@@ -399,7 +401,7 @@ impl Engine {
         if self.fast_has_room(PageSize::Small4K.bytes() as u64) {
             if let Ok(frame) = self.mem.alloc(Tier::Fast, PageSize::Small4K) {
                 self.pt
-                    .map_small(vpn, frame, vma.writable)
+                    .map_small(vpn, frame, writable)
                     .expect("demand-paged page must be unmapped");
                 *lat += self.config.minor_fault_small_ns;
                 self.stats.minor_faults_small += 1;
@@ -416,7 +418,7 @@ impl Engine {
             .alloc(Tier::Slow, PageSize::Small4K)
             .expect("fast and slow tiers out of memory during demand paging");
         self.pt
-            .map_small(vpn, frame, vma.writable)
+            .map_small(vpn, frame, writable)
             .expect("demand-paged page must be unmapped");
         self.trap.poison(
             &mut self.pt,

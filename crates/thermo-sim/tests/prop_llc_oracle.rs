@@ -9,13 +9,17 @@
 //! miss alike.
 //!
 //! The real cache differs from the model in exactly the places this test
-//! aims at: packed tag/stamp words, the per-set MRU hint, the immediate
-//! sweep of a long range, and the deferral of whole 2MB regions to the
-//! next access. Invalidations come in three kinds: whole aligned 2MB
-//! regions, unaligned multi-frame ranges, and ranges shorter than the
-//! cache has sets. Geometries have power-of-two and other set counts,
-//! some small enough that a 2MB region takes a sweep (deferred) and some
-//! with more sets than a region has lines (per-frame probes).
+//! aims at: fixed 16-tag rows with unused ways masked out, a per-set
+//! recency order in place of use times (the rank-0 fast path, rank
+//! promotion, the deepest rank as victim, the order word's identity
+//! encoding), the immediate sweep of a long range, and the deferral of
+//! whole 2MB regions to the next access. Invalidations come in three
+//! kinds: whole aligned 2MB regions, unaligned multi-frame ranges, and
+//! ranges shorter than the cache has sets. Geometries have power-of-two
+//! and other set counts, from direct-mapped to the full 16-way row that
+//! every shipped LLC uses, some small enough that a 2MB region takes a
+//! sweep (deferred) and some with more sets than a region has lines
+//! (per-frame probes).
 
 use thermo_mem::{Pfn, PAGES_PER_HUGE};
 use thermo_sim::{Llc, LlcConfig};
@@ -24,15 +28,19 @@ use thermo_util::proptest_lite::{range, vec_of, weighted, Strategy};
 
 const LINES_PER_FRAME: u64 = 64;
 
-/// `(sets, ways)`. A 2MB region has 32768 lines, so the last two take
-/// per-frame probes for it and the others a deferred sweep.
-const GEOMETRIES: [(u64, usize); 6] = [
+/// `(sets, ways)`. A 2MB region has 32768 lines, so `(65536, 1)` and
+/// `(36864, 2)` take per-frame probes for it and the others a deferred
+/// sweep. The last three fill whole or nearly whole rows.
+const GEOMETRIES: [(u64, usize); 9] = [
     (8, 2),
     (12, 3),
     (1024, 2),
     (1000, 4),
     (65536, 1),
     (36864, 2),
+    (1024, 16),
+    (12, 16),
+    (20, 15),
 ];
 
 /// Physical 2MB regions the streams touch: the first four, and the last

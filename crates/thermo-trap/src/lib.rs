@@ -215,9 +215,7 @@ impl TrapUnit {
             seen, PAGES_PER_HUGE as u64,
             "poisoning unmapped children under {base_vpn}"
         );
-        for i in 0..PAGES_PER_HUGE as u64 {
-            tlb.shootdown(base_vpn.offset(i), PageSize::Small4K, vpid);
-        }
+        tlb.shootdown_window(base_vpn, vpid);
         // Fresh counters replace any per-leaf ones in the window, exactly
         // as 512 inserts would.
         let end = base_vpn.offset(PAGES_PER_HUGE as u64);
@@ -249,9 +247,7 @@ impl TrapUnit {
             pte.unpoison();
         });
         let sum = if let Some(group) = self.groups.remove(&base_vpn) {
-            for i in 0..PAGES_PER_HUGE as u64 {
-                tlb.shootdown(base_vpn.offset(i), PageSize::Small4K, vpid);
-            }
+            tlb.shootdown_window(base_vpn, vpid);
             group.iter().sum()
         } else {
             let mut sum = 0;

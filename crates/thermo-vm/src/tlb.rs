@@ -299,6 +299,31 @@ impl Array {
         hit
     }
 
+    /// Drops every valid 4KB entry of `vpid` whose page lies in the
+    /// `PAGES_PER_HUGE` pages from `base`, setting bit `i` of `dropped`
+    /// for each page `base + i` that had one.
+    fn invalidate_window(
+        &mut self,
+        base: Vpn,
+        vpid: Vpid,
+        dropped: &mut [u64; PAGES_PER_HUGE / 64],
+    ) {
+        if !self.holds(PageSize::Small4K) {
+            return;
+        }
+        // The bits below the VPN: valid, 4KB, and the VPID.
+        let low = (1 << TAG_VPN_SHIFT) - 1;
+        let want = pack_tag(base, PageSize::Small4K, vpid) & low;
+        for tag in &mut self.tags {
+            let page = (*tag >> TAG_VPN_SHIFT).wrapping_sub(base.0);
+            if *tag & low == want && page < PAGES_PER_HUGE as u64 {
+                dropped[page as usize / 64] |= 1 << (page % 64);
+                *tag &= !TAG_VALID;
+                self.valid[0] -= 1;
+            }
+        }
+    }
+
     fn flush_all(&mut self) {
         for t in &mut self.tags {
             *t &= !TAG_VALID;
@@ -444,6 +469,19 @@ impl Tlb {
         }
     }
 
+    /// Invalidates every 4KB translation of `vpid` for the
+    /// `PAGES_PER_HUGE` pages from `base` (a split huge page's window) in
+    /// one pass over the arrays that hold 4KB entries: the bulk form of a
+    /// 4KB [`shootdown`](Self::shootdown) of each page, with the same
+    /// effect and the same count, one per page that had an entry.
+    pub fn shootdown_window(&mut self, base: Vpn, vpid: Vpid) {
+        let mut dropped = [0u64; PAGES_PER_HUGE / 64];
+        self.l1_small.invalidate_window(base, vpid, &mut dropped);
+        self.l2.invalidate_window(base, vpid, &mut dropped);
+        let pages: u32 = dropped.iter().map(|bits| bits.count_ones()).sum();
+        self.stats.shootdowns += pages as u64;
+    }
+
     /// Flushes every entry (CR3 write without PCID).
     pub fn flush_all(&mut self) {
         self.l1_small.flush_all();
@@ -554,6 +592,29 @@ mod tests {
         tlb.insert(Vpn(1024), Pfn(2048), PageSize::Huge2M, V0);
         tlb.shootdown(Vpn(1024), PageSize::Huge2M, V0);
         assert_eq!(tlb.lookup(Vpn(1024 + 3), V0), TlbOutcome::Miss);
+    }
+
+    #[test]
+    fn shootdown_window_drops_small_entries_of_one_vpid() {
+        let mut tlb = Tlb::default();
+        let base = Vpn(1024);
+        tlb.insert(Vpn(1024 + 3), Pfn(7), PageSize::Small4K, V0);
+        tlb.insert(Vpn(1024 + 511), Pfn(8), PageSize::Small4K, V0);
+        tlb.insert(Vpn(1024 + 512), Pfn(9), PageSize::Small4K, V0);
+        tlb.insert(Vpn(1024 + 4), Pfn(10), PageSize::Small4K, Vpid(2));
+        tlb.shootdown_window(base, V0);
+        // Two pages had entries (each in L1 and L2): two shootdowns.
+        assert_eq!(tlb.stats().shootdowns, 2);
+        assert_eq!(tlb.lookup(Vpn(1024 + 3), V0), TlbOutcome::Miss);
+        assert_eq!(tlb.lookup(Vpn(1024 + 511), V0), TlbOutcome::Miss);
+        assert!(matches!(
+            tlb.lookup(Vpn(1024 + 512), V0),
+            TlbOutcome::HitL1 { .. }
+        ));
+        assert!(matches!(
+            tlb.lookup(Vpn(1024 + 4), Vpid(2)),
+            TlbOutcome::HitL1 { .. }
+        ));
     }
 
     #[test]

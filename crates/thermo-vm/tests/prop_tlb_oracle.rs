@@ -8,15 +8,17 @@
 //! then L2, at one tick; its victim is the way holding the same tag, else
 //! the first invalid way, else the least recently used way (first on
 //! ties). A shootdown invalidates every matching way and counts once if
-//! anything matched; `flush_all` and `flush_vpid` count one each.
+//! anything matched; a window shootdown is 512 4KB shootdowns, one per
+//! page of a 2MB window; `flush_all` and `flush_vpid` count one each.
 //!
 //! The real TLB differs from the model in exactly the places this test
 //! aims at: packed tag words, the per-size valid counts that let a lookup
-//! skip an array, the power-of-two set mask, and hoisted tag/key packing.
-//! Random streams of all five operations over three VPIDs and both page
-//! sizes drive both in lock-step; every lookup outcome and the statistics
-//! after every operation must be identical. Geometries have power-of-two
-//! and other set counts.
+//! skip an array, the power-of-two set mask, hoisted tag/key packing, and
+//! the window shootdown's single pass with its per-page count. Random
+//! streams of all six operations over three VPIDs and both page sizes
+//! drive both in lock-step; every lookup outcome and the statistics after
+//! every operation must be identical. Geometries have power-of-two and
+//! other set counts.
 
 use thermo_mem::{PageSize, Pfn, Vpn, PAGES_PER_HUGE};
 use thermo_util::forall;
@@ -231,6 +233,11 @@ enum Op {
         huge: bool,
         vpid: u16,
     },
+    /// Every 4KB page of region `REGIONS[region]`.
+    ShootdownWindow {
+        region: u8,
+        vpid: u16,
+    },
     FlushAll,
     FlushVpid {
         vpid: u16,
@@ -304,6 +311,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         ),
         (
             1,
+            (region_strategy(), vpid())
+                .prop_map(|(region, vpid)| Op::ShootdownWindow { region, vpid })
+                .boxed(),
+        ),
+        (
+            1,
             range(0u8..4)
                 .prop_map(|k| {
                     if k == 0 {
@@ -346,6 +359,13 @@ fn tlb_matches_a_naive_lru_model() {
                     let (vpn, size) = base_of(region, off, huge);
                     tlb.shootdown(Vpn(vpn), size, Vpid(vpid));
                     reference.shootdown(vpn, size, vpid);
+                }
+                Op::ShootdownWindow { region, vpid } => {
+                    let (base, _) = base_of(region, 0, false);
+                    tlb.shootdown_window(Vpn(base), Vpid(vpid));
+                    for vpn in base..base + HUGE {
+                        reference.shootdown(vpn, PageSize::Small4K, vpid);
+                    }
                 }
                 Op::FlushAll => {
                     tlb.flush_all();

@@ -59,6 +59,26 @@ cargo test -q --offline --workspace
 echo "==> perfbench build + tests (its own workspace)"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
+# Full-size digest gate: every smoke golden runs at scale 512 on the 256KB
+# floor LLC, so the 16MB and 8MB LLCs of full-size tpcc_scan and
+# cassandra_write_fabric run end to end only in perfbench. Rerun one
+# measuring process of each workload BENCHMARK.json lists and compare its
+# simulation digest with goldens/perfbench-digests.txt (regenerating:
+# EXPERIMENTS.md "Golden artifacts — regenerating goldens").
+echo "==> perfbench full-size digest gate (vs goldens/perfbench-digests.txt)"
+n_digest=0
+for workload in $(sed -n 's/.*{"name": "\([a-z_]*\)", "why".*/\1/p' BENCHMARK.json); do
+  want=$(awk -v w="$workload" '$1 == w { print $2 }' goldens/perfbench-digests.txt)
+  got=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    measure --workload "$workload" </dev/null | sed -n 's/^# digest //p')
+  if [ -z "$want" ] || [ "$got" != "$want" ]; then
+    echo "FAIL: perfbench $workload digest is '$got', goldens/perfbench-digests.txt has '$want'" >&2
+    exit 1
+  fi
+  n_digest=$((n_digest + 1))
+done
+echo "    $n_digest workload digests identical"
+
 # Bench regression gate: run both bench targets N times in smoke mode and
 # gate on the median of the N single-shot medians against the checked-in
 # baseline (goldens/bench-baseline.json — itself a median-of-5 recording,
