@@ -1,9 +1,11 @@
 //! Golden-artifact regression checker.
 //!
-//! Re-runs every registry experiment (fig5–fig10, tab2–tab4) and
-//! structurally diffs the resulting artifacts against the checked-in
-//! expectations in `goldens/`, with the tolerance bands of
-//! [`thermo_bench::golden::DiffConfig::goldens`].
+//! Re-runs every registry experiment (the 15 of
+//! [`thermo_bench::experiments::ALL`]: fig5–fig10, tab2–tab4, tenants,
+//! fab_bw, fab_abort, tenants_shared, scen_fleet and scen_storm) and
+//! checks each artifact's canonical JSON against the bytes of its
+//! checked-in expectation in `goldens/`; a mismatch report names the
+//! diverging fields ([`thermo_bench::golden::check_artifact`]).
 //!
 //! Experiments run as parallel jobs on the `thermo-exec` pool —
 //! `THERMO_JOBS` workers, default = available parallelism — and merge in
@@ -13,7 +15,7 @@
 //! speedup.
 //!
 //! ```console
-//! $ golden check            # diff all experiments, exit 1 on mismatch
+//! $ golden check            # check all experiments, exit 1 on mismatch
 //! $ golden check fig8 tab4  # just these ids
 //! $ golden bless            # overwrite goldens with fresh artifacts
 //! $ golden check --full     # opt-in full 1/16-scale tier (goldens/full/)
@@ -27,7 +29,7 @@
 //! `THERMO_GOLDEN_DIR` to point at an alternate golden tree.
 
 use thermo_bench::experiments::{self, run_parallel, Experiment};
-use thermo_bench::golden::{canonical_json, check_artifact, golden_dir, DiffConfig};
+use thermo_bench::golden::{canonical_json, check_artifact, golden_dir};
 use thermo_bench::EvalParams;
 
 fn main() {
@@ -68,7 +70,6 @@ fn main() {
         (EvalParams::smoke(), golden_dir(), "smoke")
     };
     let workers = thermo_exec::jobs_from_env();
-    let cfg = DiffConfig::goldens();
     let total0 = std::time::Instant::now();
     let results = run_parallel(&selected, &params, workers);
     let total = total0.elapsed();
@@ -90,7 +91,7 @@ fn main() {
                     run.wall.as_secs_f64()
                 );
             }
-            _ => match check_artifact(&run.artifact, &dir, &cfg) {
+            _ => match check_artifact(&run.artifact, &dir) {
                 Ok(()) => println!("golden ok: {} ({:.2}s)", run.id, run.wall.as_secs_f64()),
                 Err(report) => {
                     eprintln!("{report}");

@@ -1,95 +1,19 @@
-//! Golden-artifact comparison: structural JSON diff with per-field
-//! numeric tolerance bands, plus the bless/check plumbing used by the
+//! Golden-artifact comparison, plus the bless/check plumbing used by the
 //! `golden` binary and `scripts/golden.sh`.
 //!
 //! The simulation is a pure function of the seed and `thermo_util::json`
 //! output is byte-stable (see `tests/determinism.rs`), so an unchanged
-//! tree reproduces checked-in expectations exactly. The diff is still
-//! *structural* with tolerances rather than a byte compare, for two
-//! reasons: a mismatch report must name the first diverging field/period
-//! (a byte diff of a 2000-line artifact names a character offset), and
-//! intentional micro-tuning of derived float metrics (throughput,
-//! bandwidth, latency) should be absorbed up to a small band while
-//! policy *decisions* — integer counters like pages demoted per period —
-//! stay exact, so a classify/estimate regression can never hide inside a
-//! tolerance.
+//! tree reproduces checked-in expectations byte for byte, and that is
+//! the check: a fresh artifact's canonical JSON must equal the golden
+//! file's bytes. When it does not, an exact structural walk of the two
+//! documents names the diverging fields and the first diverging period,
+//! because a byte offset into a 2000-line artifact names nothing.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 use crate::artifact::ExperimentArtifact;
 use thermo_util::json::{parse, to_string_pretty, ToJson, Value};
-
-/// A numeric tolerance band applied to fields whose dotted path contains
-/// `pattern`.
-#[derive(Debug, Clone, Copy)]
-pub struct ToleranceBand {
-    /// Substring matched against the full field path
-    /// (e.g. `"ops_per_sec"`, `"latency"`).
-    pub pattern: &'static str,
-    /// Allowed relative deviation: `|a-e| <= rel * max(1, |e|)`.
-    pub rel: f64,
-}
-
-/// Diff configuration: the default float tolerance plus per-field bands.
-#[derive(Debug, Clone)]
-pub struct DiffConfig {
-    /// Relative tolerance for floats not matched by any band.
-    pub default_rel: f64,
-    /// Per-field overrides, first match wins.
-    pub bands: Vec<ToleranceBand>,
-}
-
-impl DiffConfig {
-    /// Exact comparison (used by tests).
-    pub fn exact() -> Self {
-        Self {
-            default_rel: 0.0,
-            bands: Vec::new(),
-        }
-    }
-
-    /// The tolerance policy for checked-in goldens (rationale in
-    /// DESIGN.md): integers exact, floats near-exact by default, and a
-    /// 2% band on *derived measurement* fields — throughput, migration
-    /// bandwidth, latency, access rates — so micro-tuning of the cost
-    /// model doesn't force a re-bless, while every policy decision
-    /// (demotions, promotions, footprint bytes) must match exactly.
-    pub fn goldens() -> Self {
-        Self {
-            default_rel: 1e-9,
-            bands: vec![
-                ToleranceBand {
-                    pattern: "ops_per_sec",
-                    rel: 0.02,
-                },
-                ToleranceBand {
-                    pattern: "mbps",
-                    rel: 0.02,
-                },
-                ToleranceBand {
-                    pattern: "latency",
-                    rel: 0.02,
-                },
-                ToleranceBand {
-                    pattern: "rate",
-                    rel: 0.02,
-                },
-                ToleranceBand {
-                    pattern: "series",
-                    rel: 0.02,
-                },
-            ],
-        }
-    }
-
-    fn band_for(&self, path: &str) -> Option<f64> {
-        self.bands
-            .iter()
-            .find(|b| path.contains(b.pattern))
-            .map(|b| b.rel)
-    }
-}
 
 /// One structural divergence between expectation and actual.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,11 +39,11 @@ impl fmt::Display for Mismatch {
 }
 
 /// Structurally compares `actual` against `expected`, returning every
-/// divergence (empty = match). Object key order is ignored; numeric
-/// fields use the configured tolerance bands.
-pub fn diff_values(expected: &Value, actual: &Value, cfg: &DiffConfig) -> Vec<Mismatch> {
+/// divergence (empty = match). Object key order is ignored; every other
+/// value must be equal.
+pub fn diff_values(expected: &Value, actual: &Value) -> Vec<Mismatch> {
     let mut out = Vec::new();
-    walk("$", expected, actual, cfg, &mut out);
+    walk("$", expected, actual, &mut out);
     out
 }
 
@@ -144,12 +68,12 @@ fn push(out: &mut Vec<Mismatch>, path: &str, e: &Value, a: &Value, reason: impl 
     });
 }
 
-fn walk(path: &str, e: &Value, a: &Value, cfg: &DiffConfig, out: &mut Vec<Mismatch>) {
+fn walk(path: &str, e: &Value, a: &Value, out: &mut Vec<Mismatch>) {
     match (e, a) {
         (Value::Obj(ef), Value::Obj(af)) => {
             for (k, ev) in ef {
                 match a.get(k) {
-                    Some(av) => walk(&format!("{path}.{k}"), ev, av, cfg, out),
+                    Some(av) => walk(&format!("{path}.{k}"), ev, av, out),
                     None => push(
                         out,
                         &format!("{path}.{k}"),
@@ -182,31 +106,11 @@ fn walk(path: &str, e: &Value, a: &Value, cfg: &DiffConfig, out: &mut Vec<Mismat
                 );
             }
             for (i, (ev, av)) in ea.iter().zip(aa).enumerate() {
-                walk(&format!("{path}[{i}]"), ev, av, cfg, out);
+                walk(&format!("{path}[{i}]"), ev, av, out);
             }
         }
         _ => {
-            let (en, an) = (e.as_f64(), a.as_f64());
-            if let (Some(ef), Some(af)) = (en, an) {
-                // Both numeric: integers compare exactly unless a band
-                // explicitly covers the field; floats get the band or the
-                // default tolerance.
-                let both_int = matches!(e, Value::U64(_) | Value::I64(_))
-                    && matches!(a, Value::U64(_) | Value::I64(_));
-                match cfg.band_for(path) {
-                    None if both_int => {
-                        if e.as_i64() != a.as_i64() || e.as_u64() != a.as_u64() {
-                            push(out, path, e, a, "integers must match exactly");
-                        }
-                    }
-                    band => {
-                        let rel = band.unwrap_or(cfg.default_rel);
-                        if (af - ef).abs() > rel * ef.abs().max(1.0) {
-                            push(out, path, e, a, format!("beyond ±{rel:e} relative band"));
-                        }
-                    }
-                }
-            } else if e != a {
+            if e != a {
                 push(out, path, e, a, "value mismatch");
             }
         }
@@ -272,13 +176,10 @@ pub fn canonical_json(artifact: &ExperimentArtifact) -> String {
     s
 }
 
-/// Checks a freshly produced artifact against `goldens/<id>.json`.
-/// Returns `Ok(())` on match, or the rendered mismatch report.
-pub fn check_artifact(
-    artifact: &ExperimentArtifact,
-    dir: &Path,
-    cfg: &DiffConfig,
-) -> Result<(), String> {
+/// Checks a freshly produced artifact against `goldens/<id>.json`: its
+/// [`canonical_json`] must equal the file's bytes. Returns `Ok(())` on
+/// match, or the rendered mismatch report.
+pub fn check_artifact(artifact: &ExperimentArtifact, dir: &Path) -> Result<(), String> {
     let id = &artifact.report.id;
     let path = dir.join(format!("{id}.json"));
     let text = std::fs::read_to_string(&path).map_err(|e| {
@@ -287,17 +188,30 @@ pub fn check_artifact(
             path.display()
         )
     })?;
+    let fresh = canonical_json(artifact);
+    if text == fresh {
+        return Ok(());
+    }
     let expected =
         parse(&text).map_err(|e| format!("golden {} is not valid JSON: {e}", path.display()))?;
-    // Canonicalize the fresh artifact through the same codec the golden
-    // went through, so the diff sees what a re-bless would write.
-    let actual = parse(&canonical_json(artifact)).expect("artifact JSON reparses");
-    let mismatches = diff_values(&expected, &actual, cfg);
+    let actual = parse(&fresh).expect("artifact JSON reparses");
+    let mut mismatches = diff_values(&expected, &actual);
     if mismatches.is_empty() {
-        Ok(())
-    } else {
-        Err(render_mismatch_report(id, &mismatches))
+        // Equal values in different bytes: field order or number format.
+        let line = text
+            .lines()
+            .zip(fresh.lines())
+            .take_while(|(g, f)| g == f)
+            .count();
+        let at = |s: &str| s.lines().nth(line).unwrap_or("").trim().to_string();
+        mismatches.push(Mismatch {
+            path: format!("line {}", line + 1),
+            expected: at(&text),
+            actual: at(&fresh),
+            reason: "same values, different bytes".into(),
+        });
     }
+    Err(render_mismatch_report(id, &mismatches))
 }
 
 #[cfg(test)]
@@ -320,42 +234,29 @@ mod tests {
             ("b", Value::F64(0.5)),
             ("c", Value::Arr(vec![Value::Str("x".into())])),
         ]);
-        assert!(diff_values(&v, &v.clone(), &DiffConfig::goldens()).is_empty());
+        assert!(diff_values(&v, &v.clone()).is_empty());
     }
 
     #[test]
-    fn integer_divergence_is_exact_regardless_of_size() {
-        let e = obj(vec![("demoted", Value::U64(3))]);
-        let a = obj(vec![("demoted", Value::U64(4))]);
-        let ms = diff_values(&e, &a, &DiffConfig::goldens());
-        assert_eq!(ms.len(), 1);
-        assert_eq!(ms[0].path, "$.demoted");
-        assert!(ms[0].reason.contains("exactly"));
-    }
-
-    #[test]
-    fn float_band_absorbs_small_drift_but_not_large() {
-        let cfg = DiffConfig::goldens();
-        let e = obj(vec![("ops_per_sec", Value::F64(1000.0))]);
-        let close = obj(vec![("ops_per_sec", Value::F64(1015.0))]); // +1.5%
-        let far = obj(vec![("ops_per_sec", Value::F64(1500.0))]); // +50%
-        assert!(diff_values(&e, &close, &cfg).is_empty());
-        assert_eq!(diff_values(&e, &far, &cfg).len(), 1);
-    }
-
-    #[test]
-    fn default_float_tolerance_is_tight() {
-        let cfg = DiffConfig::goldens();
-        let e = obj(vec![("cold_fraction", Value::F64(0.25))]);
-        let a = obj(vec![("cold_fraction", Value::F64(0.26))]);
-        assert_eq!(diff_values(&e, &a, &cfg).len(), 1);
+    fn any_numeric_drift_is_a_mismatch() {
+        for (e, a) in [
+            (Value::U64(3), Value::U64(4)),
+            (Value::F64(1000.0), Value::F64(1000.000001)),
+        ] {
+            let ms = diff_values(
+                &obj(vec![("ops_per_sec", e)]),
+                &obj(vec![("ops_per_sec", a)]),
+            );
+            assert_eq!(ms.len(), 1);
+            assert_eq!(ms[0].path, "$.ops_per_sec");
+        }
     }
 
     #[test]
     fn missing_and_unexpected_fields_are_reported() {
         let e = obj(vec![("a", Value::U64(1)), ("b", Value::U64(2))]);
         let a = obj(vec![("a", Value::U64(1)), ("z", Value::U64(9))]);
-        let ms = diff_values(&e, &a, &DiffConfig::exact());
+        let ms = diff_values(&e, &a);
         let reasons: Vec<&str> = ms.iter().map(|m| m.reason.as_str()).collect();
         assert!(reasons.contains(&"missing field"));
         assert!(reasons.contains(&"unexpected field"));
@@ -365,9 +266,9 @@ mod tests {
     fn array_length_and_type_mismatches() {
         let e = Value::Arr(vec![Value::U64(1), Value::U64(2)]);
         let a = Value::Arr(vec![Value::U64(1)]);
-        let ms = diff_values(&e, &a, &DiffConfig::exact());
+        let ms = diff_values(&e, &a);
         assert!(ms[0].reason.contains("array length"));
-        let ms = diff_values(&Value::Bool(true), &Value::U64(1), &DiffConfig::exact());
+        let ms = diff_values(&Value::Bool(true), &Value::U64(1));
         assert_eq!(ms.len(), 1, "bool vs number is a type mismatch");
     }
 
@@ -378,13 +279,13 @@ mod tests {
                 path: "$.runs[1].history[7].demoted".into(),
                 expected: "3".into(),
                 actual: "4".into(),
-                reason: "integers must match exactly".into(),
+                reason: "value mismatch".into(),
             },
             Mismatch {
                 path: "$.runs[1].history[2].promoted".into(),
                 expected: "0".into(),
                 actual: "1".into(),
-                reason: "integers must match exactly".into(),
+                reason: "value mismatch".into(),
             },
         ];
         let report = render_mismatch_report("fig8", &ms);
@@ -397,6 +298,6 @@ mod tests {
     fn object_key_order_is_ignored() {
         let e = obj(vec![("a", Value::U64(1)), ("b", Value::U64(2))]);
         let a = obj(vec![("b", Value::U64(2)), ("a", Value::U64(1))]);
-        assert!(diff_values(&e, &a, &DiffConfig::exact()).is_empty());
+        assert!(diff_values(&e, &a).is_empty());
     }
 }

@@ -10,8 +10,7 @@
 //!   paper's 30s compressed 10x together with the run length).
 
 use thermo_sim::{
-    run_for, run_for_instrumented, Engine, LatencyHistogram, NoPolicy, PolicyHook, RunOutcome,
-    SimConfig,
+    run_for_instrumented, Engine, LatencyHistogram, NoPolicy, PolicyHook, RunOutcome, SimConfig,
 };
 use thermo_util::rng::count_from_env;
 use thermo_workloads::{AppConfig, AppId};
@@ -209,16 +208,66 @@ pub struct AppRun {
     pub p99_latency_ns: u64,
 }
 
-fn finish_run(
+/// A policy a harness run can summarise: Thermostat's daemon brings its
+/// per-period history and stats into the [`AppRun`], other policies
+/// have none.
+trait HarnessPolicy {
+    fn hook(&mut self) -> &mut dyn PolicyHook;
+
+    fn daemon(&self) -> Option<&Daemon> {
+        None
+    }
+}
+
+impl HarnessPolicy for NoPolicy {
+    fn hook(&mut self) -> &mut dyn PolicyHook {
+        self
+    }
+}
+
+impl HarnessPolicy for Daemon {
+    fn hook(&mut self) -> &mut dyn PolicyHook {
+        self
+    }
+
+    fn daemon(&self) -> Option<&Daemon> {
+        Some(self)
+    }
+}
+
+impl HarnessPolicy for &mut dyn PolicyHook {
+    fn hook(&mut self) -> &mut dyn PolicyHook {
+        &mut **self
+    }
+}
+
+/// The run body every harness run shares. Builds the engine from
+/// `config`, then `app`'s workload, runs its `init`, and only then builds
+/// the policy; runs for `p.duration_ns`, recording each op's latency, and
+/// summarises the run.
+fn run_app<P: HarnessPolicy>(
     app: AppId,
-    engine: &Engine,
-    outcome: RunOutcome,
-    history: Vec<PeriodRecord>,
-    daemon: DaemonStats,
-    hist: &LatencyHistogram,
-) -> AppRun {
+    p: &EvalParams,
+    config: SimConfig,
+    policy: impl FnOnce() -> P,
+) -> (AppRun, Engine, P) {
+    let mut engine = Engine::new(config);
+    let mut workload = app.build(p.app_config());
+    workload.init(&mut engine);
+    let mut policy = policy();
+    let mut hist = LatencyHistogram::new();
+    let outcome = run_for_instrumented(
+        &mut engine,
+        workload.as_mut(),
+        policy.hook(),
+        p.duration_ns,
+        &mut hist,
+    );
     let elapsed = outcome.elapsed_ns().max(1);
     let ms = engine.migration_stats();
+    let (history, daemon) = policy
+        .daemon()
+        .map_or_else(Default::default, |d| (d.history().to_vec(), d.stats()));
     let (mean, last) = if history.is_empty() {
         (0.0, 0.0)
     } else {
@@ -232,7 +281,7 @@ fn finish_run(
         )
     };
     let slow_events = engine.slow_series().total();
-    AppRun {
+    let run = AppRun {
         app: app.to_string(),
         outcome,
         ops_per_sec: outcome.ops_per_sec(),
@@ -246,32 +295,15 @@ fn finish_run(
         slow_rate_series: engine.slow_series().smoothed_rates(30),
         mean_latency_ns: hist.mean_ns(),
         p99_latency_ns: hist.percentile_ns(99.0),
-    }
+    };
+    (run, engine, policy)
 }
 
 /// Runs `app` with no placement policy (the all-DRAM baseline every paper
 /// number is measured against). Returns the run summary and the engine for
 /// further inspection.
 pub fn baseline_run(app: AppId, p: &EvalParams) -> (AppRun, Engine) {
-    let mut engine = Engine::new(p.sim_config(app));
-    let mut workload = app.build(p.app_config());
-    workload.init(&mut engine);
-    let mut hist = LatencyHistogram::new();
-    let outcome = run_for_instrumented(
-        &mut engine,
-        workload.as_mut(),
-        &mut NoPolicy,
-        p.duration_ns,
-        &mut hist,
-    );
-    let run = finish_run(
-        app,
-        &engine,
-        outcome,
-        Vec::new(),
-        DaemonStats::default(),
-        &hist,
-    );
+    let (run, engine, _) = run_app(app, p, p.sim_config(app), || NoPolicy);
     (run, engine)
 }
 
@@ -329,27 +361,7 @@ pub fn thermostat_run_with(
     p: &EvalParams,
     config: ThermostatConfig,
 ) -> (AppRun, Engine, Daemon) {
-    let mut engine = Engine::new(p.sim_config(app));
-    let mut workload = app.build(p.app_config());
-    workload.init(&mut engine);
-    let mut daemon = Daemon::new(config);
-    let mut hist = LatencyHistogram::new();
-    let outcome = run_for_instrumented(
-        &mut engine,
-        workload.as_mut(),
-        &mut daemon,
-        p.duration_ns,
-        &mut hist,
-    );
-    let run = finish_run(
-        app,
-        &engine,
-        outcome,
-        daemon.history().to_vec(),
-        daemon.stats(),
-        &hist,
-    );
-    (run, engine, daemon)
+    run_app(app, p, p.sim_config(app), || Daemon::new(config))
 }
 
 /// Runs `app` under the Thermostat daemon with the migration fabric
@@ -364,43 +376,12 @@ pub fn thermostat_fabric_run(
 ) -> (AppRun, Engine, Daemon) {
     let mut config = p.sim_config(app);
     config.fabric = fabric;
-    let mut engine = Engine::new(config);
-    let mut workload = app.build(p.app_config());
-    workload.init(&mut engine);
-    let mut daemon = Daemon::new(p.thermostat_config());
-    let mut hist = LatencyHistogram::new();
-    let outcome = run_for_instrumented(
-        &mut engine,
-        workload.as_mut(),
-        &mut daemon,
-        p.duration_ns,
-        &mut hist,
-    );
-    let run = finish_run(
-        app,
-        &engine,
-        outcome,
-        daemon.history().to_vec(),
-        daemon.stats(),
-        &hist,
-    );
-    (run, engine, daemon)
+    run_app(app, p, config, || Daemon::new(p.thermostat_config()))
 }
 
 /// Runs `app` under an arbitrary policy hook.
 pub fn policy_run(app: AppId, p: &EvalParams, policy: &mut dyn PolicyHook) -> (AppRun, Engine) {
-    let mut engine = Engine::new(p.sim_config(app));
-    let mut workload = app.build(p.app_config());
-    workload.init(&mut engine);
-    let outcome = run_for(&mut engine, workload.as_mut(), policy, p.duration_ns);
-    let run = finish_run(
-        app,
-        &engine,
-        outcome,
-        Vec::new(),
-        DaemonStats::default(),
-        &LatencyHistogram::new(),
-    );
+    let (run, engine, _) = run_app(app, p, p.sim_config(app), || policy);
     (run, engine)
 }
 

@@ -12,7 +12,7 @@
 //! This library provides the shared machinery: building engines and
 //! workloads at the evaluation scale, paired baseline/Thermostat runs,
 //! result serialization ([`artifact`]), the golden-checked experiment
-//! registry ([`experiments`]), and the structural golden diff
+//! registry ([`experiments`]), and the byte-exact golden check
 //! ([`golden`]).
 
 #![warn(missing_docs)]

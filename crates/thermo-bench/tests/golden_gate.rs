@@ -1,12 +1,12 @@
 //! End-to-end gate for the golden-artifact harness: the committed
-//! goldens must match a live smoke run, a perturbed policy constant must
-//! demonstrably fail the check, and the tolerance bands must absorb
-//! small measurement drift without absorbing policy changes.
+//! goldens must match a live smoke run byte for byte, a perturbed policy
+//! constant must demonstrably fail the check, and any drift at all must
+//! fail it with a report that names the diverging field.
 
 use std::path::PathBuf;
 
 use thermo_bench::experiments;
-use thermo_bench::golden::{canonical_json, check_artifact, golden_dir, DiffConfig};
+use thermo_bench::golden::{canonical_json, check_artifact, golden_dir};
 use thermo_bench::{EvalParams, ExperimentArtifact};
 use thermo_util::json::{parse, to_string_pretty, Value};
 
@@ -30,7 +30,7 @@ fn committed_goldens_match_a_live_smoke_run() {
     // The same check `scripts/golden.sh check fig5` performs, run
     // in-process: a stale golden tree fails `cargo test`, not just CI.
     let artifact = smoke_artifact("fig5");
-    check_artifact(&artifact, &golden_dir(), &DiffConfig::goldens())
+    check_artifact(&artifact, &golden_dir())
         .unwrap_or_else(|report| panic!("committed fig5 golden diverged:\n{report}"));
 }
 
@@ -45,7 +45,7 @@ fn perturbed_policy_constant_fails_the_gate() {
         ..EvalParams::smoke()
     };
     let artifact = (exp.run)(&params);
-    let report = check_artifact(&artifact, &golden_dir(), &DiffConfig::goldens())
+    let report = check_artifact(&artifact, &golden_dir())
         .expect_err("doubled slowdown target must diverge from the golden");
     assert!(
         report.contains("tolerable_slowdown_pct"),
@@ -88,42 +88,39 @@ fn with_scaled_run_field(artifact: &ExperimentArtifact, field: &str, factor: f64
 }
 
 #[test]
-fn tolerance_bands_absorb_drift_but_not_regressions() {
+fn any_drift_fails_and_names_the_field() {
     let artifact = smoke_artifact("fig6");
-    let dir = scratch_dir("bands");
+    let dir = scratch_dir("drift");
     let write = |text: String| {
         std::fs::write(dir.join("fig6.json"), text).expect("write scratch golden");
     };
-    let cfg = DiffConfig::goldens();
 
-    // 1% throughput drift sits inside the 2% band: no re-bless needed
-    // after cost-model micro-tuning.
+    write(canonical_json(&artifact));
+    check_artifact(&artifact, &dir).expect("the artifact's own bytes pass");
+
+    // 1% throughput drift is a failure like any other, named by field.
     write(with_scaled_run_field(&artifact, "ops_per_sec", 1.01));
-    check_artifact(&artifact, &dir, &cfg).expect("1% ops_per_sec drift is within tolerance");
-
-    // 10% is a real regression and must fail, naming the field.
-    write(with_scaled_run_field(&artifact, "ops_per_sec", 1.10));
-    let report = check_artifact(&artifact, &dir, &cfg).expect_err("10% drift must fail");
+    let report = check_artifact(&artifact, &dir).expect_err("1% drift must fail");
     assert!(report.contains("ops_per_sec"), "{report}");
 
-    // Integers are policy decisions: even off-by-one fails. Perturb a
-    // daemon counter in the golden text the way a changed classifier
-    // would, and the diff must name the exact path.
+    // An off-by-one daemon counter names its exact path.
     let perturbed = canonical_json(&artifact).replacen("\"periods\": ", "\"periods\": 1", 1);
     assert_ne!(perturbed, canonical_json(&artifact), "perturbation applied");
     write(perturbed);
-    let report = check_artifact(&artifact, &dir, &cfg).expect_err("integer drift must fail");
-    assert!(
-        report.contains("integers must match exactly"),
-        "integer mismatches are exact: {report}"
-    );
+    let report = check_artifact(&artifact, &dir).expect_err("integer drift must fail");
+    assert!(report.contains(".periods: expected 1"), "{report}");
+
+    // Equal values in other bytes still fail, naming the line.
+    write(canonical_json(&artifact).replacen("\n  ", "\n   ", 1));
+    let report = check_artifact(&artifact, &dir).expect_err("reformatted golden must fail");
+    assert!(report.contains("line 2: "), "{report}");
+    assert!(report.contains("same values, different bytes"), "{report}");
 }
 
 #[test]
 fn missing_golden_points_at_bless() {
     let artifact = smoke_artifact("fig7");
     let dir = scratch_dir("missing");
-    let err = check_artifact(&artifact, &dir, &DiffConfig::goldens())
-        .expect_err("no golden present: check must fail");
+    let err = check_artifact(&artifact, &dir).expect_err("no golden present: check must fail");
     assert!(err.contains("golden.sh bless fig7"), "{err}");
 }

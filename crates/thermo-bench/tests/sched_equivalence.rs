@@ -5,7 +5,7 @@
 //! same footprint breakdowns, for every tenant. One global timeline must
 //! be an *ordering* change, never a *behaviour* change.
 //!
-//! Two layers:
+//! Three checks:
 //!
 //! 1. in-process: the same build closure run sharded and co-scheduled
 //!    (via the `SchedConfig::coscheduled` probe dispatch inside
@@ -13,13 +13,19 @@
 //!    byte-identical serialized [`thermo_sim::runner::ShardOutcome`]s;
 //! 2. golden-pinned: the co-scheduled outcomes reproduce the committed
 //!    `goldens/tenants.json` shard notes byte-for-byte, so equivalence
-//!    is anchored to blessed history, not just to a twin in-process run.
+//!    is anchored to blessed history, not just to a twin in-process run;
+//! 3. every policy: Thermostat, kstaled, CLOCK and DAMON tenants with
+//!    the migration fabric on, run through both runners directly.
 
 use std::path::PathBuf;
 
 use thermo_bench::EvalParams;
+use thermo_kstaled::{ClockConfig, ClockPolicy, Damon, DamonConfig, Kstaled, KstaledConfig};
 use thermo_mem::TierParams;
-use thermo_sim::{run_tenants_sharded, Engine, PolicyHook, ShardOutcome, Workload};
+use thermo_sim::{
+    run_tenants_coscheduled, run_tenants_sharded, Engine, FabricConfig, PolicyHook, ShardOutcome,
+    Workload,
+};
 use thermo_workloads::AppId;
 use thermostat::Daemon;
 
@@ -126,6 +132,76 @@ fn coscheduled_run_reproduces_the_committed_tenants_golden() {
             &got, want,
             "shard {}: co-scheduled outcome diverged from goldens/tenants.json",
             o.shard_id
+        );
+    }
+}
+
+/// Tenant `t` of the every-policy input: the mix's application `t % 3`
+/// under policy `t` (Thermostat, kstaled, CLOCK, DAMON), with the
+/// migration fabric on at 128MB/s and arbitration off.
+fn build_policy_tenant(
+    p: &EvalParams,
+    t: u64,
+    seed: u64,
+) -> (Engine, Box<dyn Workload>, Box<dyn PolicyHook>) {
+    let (app, read_pct, target) = TENANTS[t as usize % TENANTS.len()];
+    let tp = EvalParams {
+        seed,
+        read_pct,
+        tolerable_slowdown_pct: target,
+        ..*p
+    };
+    let mut cfg = tp.sim_config(app);
+    cfg.fabric = FabricConfig {
+        enabled: true,
+        link_bandwidth_bytes_per_sec: 128_000_000,
+        ..FabricConfig::default()
+    };
+    let period = tp.sampling_period_ns;
+    let policy: Box<dyn PolicyHook> = match t {
+        0 => Box::new(Daemon::new(tp.thermostat_config())),
+        1 => Box::new(Kstaled::new(KstaledConfig {
+            scan_period_ns: period,
+        })),
+        2 => Box::new(ClockPolicy::new(ClockConfig {
+            sweep_period_ns: period,
+            ..ClockConfig::default()
+        })),
+        _ => Box::new(Damon::new(DamonConfig {
+            sample_interval_ns: period / 10,
+            samples_per_aggregation: 10,
+            seed,
+            ..DamonConfig::default()
+        })),
+    };
+    (Engine::new(cfg), app.build(tp.app_config()), policy)
+}
+
+#[test]
+fn every_policy_with_the_fabric_on_matches_across_runners() {
+    let p = EvalParams::smoke();
+    let build = |t, seed| build_policy_tenant(&p, t, seed);
+    let sharded = run_tenants_sharded(
+        4,
+        p.duration_ns,
+        &thermo_exec::ExecConfig::from_env(p.seed),
+        build,
+    )
+    .unwrap_or_else(|e| panic!("sharded run failed: {e}"));
+    let coscheduled = run_tenants_coscheduled(4, p.duration_ns, p.seed, None, build)
+        .unwrap_or_else(|e| panic!("co-scheduled run failed: {e}"))
+        .shards;
+    assert!(
+        sharded.iter().any(|s| s.breakdown.cold() > 0),
+        "no policy moved a page through the fabric"
+    );
+    assert_eq!(sharded.len(), coscheduled.len());
+    for (s, c) in sharded.iter().zip(&coscheduled) {
+        assert_eq!(
+            thermo_util::json::encode(s),
+            thermo_util::json::encode(c),
+            "shard {}: co-scheduled outcome diverged from the sharded one",
+            s.shard_id
         );
     }
 }

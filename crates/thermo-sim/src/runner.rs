@@ -1,12 +1,20 @@
-//! The run loop: interleaves application operations with kernel policy
-//! ticks on the virtual timeline.
+//! The run loop: one [`Timeline`] interleaves application operations
+//! with kernel policy ticks on the virtual timeline.
 //!
 //! The paper's setup runs the application continuously while Thermostat's
 //! daemon wakes up every scan interval; here the same interleaving happens
-//! deterministically: before each operation the runner fires any policy
-//! whose next deadline has passed.
+//! deterministically: before each operation the timeline fires any policy
+//! whose next deadline has passed. A timeline is the only code that draws
+//! and charges an application op or fires a policy: [`run_for`],
+//! [`run_ops`] and [`run_for_instrumented`] each run one on its own,
+//! [`run_tenants_sharded`] runs one per tenant on the [`thermo_exec`]
+//! pool, and [`crate::sched::run_tenants_coscheduled`] advances one per
+//! tenant, window by window between arbiter ticks (DESIGN.md §13).
 
+use crate::arbiter::TenantReport;
 use crate::engine::Engine;
+use crate::latency::LatencyHistogram;
+use crate::stats::EngineStats;
 use crate::workload::{Access, Workload};
 
 /// A kernel-side policy that wants periodic control of the machine
@@ -101,36 +109,7 @@ pub fn run_for(
     policy: &mut dyn PolicyHook,
     duration_ns: u64,
 ) -> RunOutcome {
-    let start = engine.now_ns();
-    // Saturate: `duration_ns = u64::MAX` means "until the workload
-    // finishes", and an engine already deep into virtual time must not
-    // wrap the deadline back before `start`.
-    let deadline = start.saturating_add(duration_ns);
-    let mut ops = 0u64;
-    let mut accesses: Vec<Access> = Vec::with_capacity(16);
-    // `next_due_ns(&self)` is pure and only moves in `tick(&mut self)`,
-    // so caching it turns a per-op virtual call into a compare.
-    let mut due = policy.next_due_ns();
-    while engine.now_ns() < deadline {
-        while due <= engine.now_ns() {
-            policy.tick(engine);
-            due = policy.next_due_ns();
-        }
-        accesses.clear();
-        let Some(compute_ns) = workload.next_op(engine.now_ns(), &mut accesses) else {
-            break;
-        };
-        for a in &accesses {
-            engine.access(a.va, a.write);
-        }
-        engine.advance_compute(compute_ns);
-        ops += 1;
-    }
-    RunOutcome {
-        ops,
-        start_ns: start,
-        end_ns: engine.now_ns(),
-    }
+    Timeline::new(engine, workload, policy, duration_ns, u64::MAX, None).run()
 }
 
 /// Runs `workload` for `duration_ns`, recording each operation's total
@@ -141,37 +120,9 @@ pub fn run_for_instrumented(
     workload: &mut dyn Workload,
     policy: &mut dyn PolicyHook,
     duration_ns: u64,
-    hist: &mut crate::latency::LatencyHistogram,
+    hist: &mut LatencyHistogram,
 ) -> RunOutcome {
-    let start = engine.now_ns();
-    // Saturating for the same reason as `run_for`.
-    let deadline = start.saturating_add(duration_ns);
-    let mut ops = 0u64;
-    let mut accesses: Vec<Access> = Vec::with_capacity(16);
-    // Same cached-deadline trick as `run_for`.
-    let mut due = policy.next_due_ns();
-    while engine.now_ns() < deadline {
-        while due <= engine.now_ns() {
-            policy.tick(engine);
-            due = policy.next_due_ns();
-        }
-        accesses.clear();
-        let Some(compute_ns) = workload.next_op(engine.now_ns(), &mut accesses) else {
-            break;
-        };
-        let t0 = engine.now_ns();
-        for a in &accesses {
-            engine.access(a.va, a.write);
-        }
-        engine.advance_compute(compute_ns);
-        hist.record(engine.now_ns() - t0);
-        ops += 1;
-    }
-    RunOutcome {
-        ops,
-        start_ns: start,
-        end_ns: engine.now_ns(),
-    }
+    Timeline::new(engine, workload, policy, duration_ns, u64::MAX, Some(hist)).run()
 }
 
 /// Runs exactly `n_ops` operations (or fewer if the workload finishes).
@@ -181,30 +132,209 @@ pub fn run_ops(
     policy: &mut dyn PolicyHook,
     n_ops: u64,
 ) -> RunOutcome {
-    let start = engine.now_ns();
-    let mut ops = 0u64;
-    let mut accesses: Vec<Access> = Vec::with_capacity(16);
-    // Same cached-deadline trick as `run_for`.
-    let mut due = policy.next_due_ns();
-    while ops < n_ops {
-        while due <= engine.now_ns() {
-            policy.tick(engine);
-            due = policy.next_due_ns();
+    Timeline::new(engine, workload, policy, u64::MAX, n_ops, None).run()
+}
+
+/// A timeline's event kinds, in phase order at equal virtual times.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Role {
+    /// Samples the engine's slowdown for the arbiter (shared pool only).
+    Reporter,
+    /// Fires the policy at its `next_due_ns`.
+    Daemon,
+    /// Drains in-flight fabric copies during compute gaps (shared pool
+    /// with the fabric on).
+    Pump,
+    /// One application op; last at a given instant.
+    App,
+}
+
+/// One tenant's virtual timeline: application ops, the policy and, on a
+/// shared fast-tier pool, a slowdown reporter and a fabric pump, run in
+/// `(time, class)` order with the phase priority of [`Role`].
+///
+/// It borrows the engine, workload and policy it runs, and finishes at
+/// its deadline, once its op budget is spent, or when the workload ends.
+/// A policy due at or after the finish parks without firing.
+pub(crate) struct Timeline<'a> {
+    pub(crate) engine: &'a mut Engine,
+    pub(crate) workload: &'a mut dyn Workload,
+    pub(crate) policy: &'a mut dyn PolicyHook,
+    /// Sees each op's latency (accesses + compute).
+    hist: Option<&'a mut LatencyHistogram>,
+    start_ns: u64,
+    deadline_ns: u64,
+    /// Ops after which the timeline finishes.
+    op_budget: u64,
+    ops: u64,
+    /// `policy.next_due_ns()`, cached: it only moves in `tick`, so the
+    /// cache turns a per-op virtual call into a compare. `u64::MAX` once
+    /// the daemon parks.
+    due_ns: u64,
+    /// Next slowdown report (`u64::MAX` = never).
+    report_ns: u64,
+    /// Next fabric pump (`u64::MAX` = never).
+    pump_ns: u64,
+    /// Period of both reports and pumps.
+    period_ns: u64,
+    /// Engine counters at the previous report.
+    prev: EngineStats,
+    /// The latest report, taken by the next arbiter tick.
+    pub(crate) report: Option<TenantReport>,
+    accesses: Vec<Access>,
+    /// Neither finished nor panicked.
+    pub(crate) live: bool,
+    /// The event in progress, to attribute a panic.
+    pub(crate) running: Role,
+}
+
+impl<'a> Timeline<'a> {
+    /// A timeline from the engine's current time that finishes after
+    /// `duration_ns` or `op_budget` ops, whichever comes first. It has no
+    /// reporter and no pump.
+    pub(crate) fn new(
+        engine: &'a mut Engine,
+        workload: &'a mut dyn Workload,
+        policy: &'a mut dyn PolicyHook,
+        duration_ns: u64,
+        op_budget: u64,
+        hist: Option<&'a mut LatencyHistogram>,
+    ) -> Self {
+        let start_ns = engine.now_ns();
+        Self {
+            start_ns,
+            // Saturate: `duration_ns = u64::MAX` means "until the workload
+            // finishes", and an engine already deep into virtual time must
+            // not wrap the deadline back before the start.
+            deadline_ns: start_ns.saturating_add(duration_ns),
+            op_budget,
+            ops: 0,
+            due_ns: policy.next_due_ns(),
+            report_ns: u64::MAX,
+            pump_ns: u64::MAX,
+            period_ns: 0,
+            prev: EngineStats::default(),
+            report: None,
+            accesses: Vec::with_capacity(16),
+            live: true,
+            running: Role::App,
+            engine,
+            workload,
+            policy,
+            hist,
         }
-        accesses.clear();
-        let Some(compute_ns) = workload.next_op(engine.now_ns(), &mut accesses) else {
-            break;
-        };
-        for a in &accesses {
-            engine.access(a.va, a.write);
-        }
-        engine.advance_compute(compute_ns);
-        ops += 1;
     }
-    RunOutcome {
-        ops,
-        start_ns: start,
-        end_ns: engine.now_ns(),
+
+    /// Adds the shared-pool reporter, every `sched.report_period_ns` of the
+    /// engine's config, and with the fabric on a pump on the same period;
+    /// both first fire one period after the start.
+    pub(crate) fn with_reports(mut self) -> Self {
+        let cfg = self.engine.config();
+        self.period_ns = cfg.sched.report_period_ns;
+        self.report_ns = self.start_ns + self.period_ns;
+        if cfg.fabric.enabled {
+            self.pump_ns = self.report_ns;
+        }
+        self.prev = self.engine.stats();
+        self
+    }
+
+    /// Runs the whole timeline with no other tenant to wait for.
+    pub(crate) fn run(mut self) -> RunOutcome {
+        self.advance(u64::MAX);
+        self.outcome()
+    }
+
+    /// Runs this timeline's events in `(time, class)` order until the next
+    /// one is at or after `horizon`, or the timeline finishes.
+    pub(crate) fn advance(&mut self, horizon: u64) {
+        while self.live {
+            let periodic = self.report_ns.min(self.due_ns).min(self.pump_ns);
+            // The app's event `(now, APP)` precedes every periodic event
+            // `(t, class < APP)` exactly while `now < t`.
+            self.running = Role::App;
+            let limit = periodic.min(horizon);
+            while self.engine.now_ns() < limit {
+                if !self.app_op() {
+                    return;
+                }
+            }
+            if periodic >= horizon {
+                return;
+            }
+            if self.report_ns == periodic {
+                self.running = Role::Reporter;
+                self.post_report();
+            } else if self.due_ns == periodic {
+                self.running = Role::Daemon;
+                if self.finished() {
+                    self.due_ns = u64::MAX;
+                } else {
+                    self.policy.tick(self.engine);
+                    self.due_ns = self.policy.next_due_ns();
+                }
+            } else {
+                self.running = Role::Pump;
+                self.engine.pump_fabric();
+                self.pump_ns += self.period_ns;
+            }
+        }
+    }
+
+    /// The deadline is reached or the op budget spent.
+    fn finished(&self) -> bool {
+        self.engine.now_ns() >= self.deadline_ns || self.ops >= self.op_budget
+    }
+
+    /// Draws one op and charges its accesses and compute; false once the
+    /// timeline finishes instead.
+    fn app_op(&mut self) -> bool {
+        if self.finished() {
+            self.live = false;
+            return false;
+        }
+        let start = self.engine.now_ns();
+        self.accesses.clear();
+        let Some(compute_ns) = self.workload.next_op(start, &mut self.accesses) else {
+            self.live = false;
+            return false;
+        };
+        for a in &self.accesses {
+            self.engine.access(a.va, a.write);
+        }
+        self.engine.advance_compute(compute_ns);
+        if let Some(hist) = &mut self.hist {
+            hist.record(self.engine.now_ns() - start);
+        }
+        self.ops += 1;
+        true
+    }
+
+    /// Estimates the slowdown since the previous report from engine
+    /// counter deltas (the paper's §4.3 machinery).
+    fn post_report(&mut self) {
+        let engine = &*self.engine;
+        let stats = engine.stats();
+        self.report = Some(TenantReport {
+            slowdown_pct: stats
+                .estimated_slowdown_pct(&self.prev, engine.config().trap.fault_latency_ns),
+            used_fast_bytes: engine.used_bytes(thermo_mem::Tier::Fast),
+            cold_fast_bytes: engine.fast_idle_bytes(),
+            reserved_bytes: engine.fabric().in_flight_bytes(),
+            displaced_bytes: engine.displaced_bytes(),
+            fabric_congested: engine.fabric().busy(),
+        });
+        self.prev = stats;
+        self.report_ns += self.period_ns;
+    }
+
+    /// Ops run so far and the virtual time they took.
+    pub(crate) fn outcome(&self) -> RunOutcome {
+        RunOutcome {
+            ops: self.ops,
+            start_ns: self.start_ns,
+            end_ns: self.engine.now_ns(),
+        }
     }
 }
 
@@ -221,7 +351,7 @@ pub struct ShardOutcome {
     /// The tenant's run outcome (ops completed, virtual start/end times).
     pub outcome: RunOutcome,
     /// Final engine counters for this tenant.
-    pub stats: crate::stats::EngineStats,
+    pub stats: EngineStats,
     /// Final footprint breakdown (per-tier, per-page-size bytes).
     pub breakdown: crate::engine::FootprintBreakdown,
 }
@@ -236,6 +366,65 @@ thermo_util::json_struct!(ShardOutcome {
     breakdown,
 });
 
+/// One tenant of a multi-tenant run, as `build` made it from
+/// `(shard_id, seed)`. Both runners take it through the same life:
+/// [`init`](Self::init), a [`timeline`](Self::timeline), then
+/// [`outcome`](Self::outcome).
+pub(crate) struct Tenant {
+    shard_id: u64,
+    seed: u64,
+    pub(crate) engine: Engine,
+    workload: Box<dyn Workload>,
+    policy: Box<dyn PolicyHook>,
+}
+
+impl Tenant {
+    /// Builds shard `shard_id` from `seed`.
+    pub(crate) fn build(
+        build: &impl Fn(u64, u64) -> (Engine, Box<dyn Workload>, Box<dyn PolicyHook>),
+        shard_id: u64,
+        seed: u64,
+    ) -> Self {
+        let (engine, workload, policy) = build(shard_id, seed);
+        Self {
+            shard_id,
+            seed,
+            engine,
+            workload,
+            policy,
+        }
+    }
+
+    /// The workload's load phase.
+    pub(crate) fn init(&mut self) {
+        self.workload.init(&mut self.engine);
+    }
+
+    /// The timeline that runs this tenant for `duration_ns` from now.
+    pub(crate) fn timeline(&mut self, duration_ns: u64) -> Timeline<'_> {
+        let (workload, policy) = (self.workload.as_mut(), self.policy.as_mut());
+        Timeline::new(
+            &mut self.engine,
+            workload,
+            policy,
+            duration_ns,
+            u64::MAX,
+            None,
+        )
+    }
+
+    /// This tenant's result once its timeline ran `run`.
+    pub(crate) fn outcome(&self, run: RunOutcome) -> ShardOutcome {
+        ShardOutcome {
+            shard_id: self.shard_id,
+            seed: self.seed,
+            outcome: run,
+            stats: self.engine.stats(),
+            breakdown: self.engine.footprint_breakdown(),
+        }
+    }
+}
+
 /// Runs `n_tenants` fully independent tenants — each its own engine,
 /// workload, and policy — across the [`thermo_exec`] worker pool and
 /// returns their outcomes **in shard-id order**.
@@ -248,8 +437,9 @@ thermo_util::json_struct!(ShardOutcome {
 /// once more for shard 0 on the calling thread: that probe reads
 /// `SchedConfig::coscheduled`, and when it is set the whole batch runs
 /// through [`crate::sched::run_tenants_coscheduled`] on the calling
-/// thread instead. Each tenant runs for `duration_ns` of its own virtual
-/// time. Because tenants share no state and results merge by shard id,
+/// thread instead. Each tenant is one timeline, the loop of [`run_for`],
+/// run for `duration_ns` of its own virtual time as a job on the pool.
+/// Because tenants share no state and results merge by shard id,
 /// the output is byte-identical for any worker count — the scale-out
 /// path promised in the ROADMAP without giving up artifact determinism.
 ///
@@ -296,16 +486,10 @@ where
     let jobs: Vec<_> = (0..n_tenants)
         .map(|_| {
             move |ctx: &thermo_exec::JobCtx| {
-                let (mut engine, mut workload, mut policy) = build(ctx.job_id, ctx.seed);
-                workload.init(&mut engine);
-                let outcome = run_for(&mut engine, workload.as_mut(), policy.as_mut(), duration_ns);
-                ShardOutcome {
-                    shard_id: ctx.job_id,
-                    seed: ctx.seed,
-                    outcome,
-                    stats: engine.stats(),
-                    breakdown: engine.footprint_breakdown(),
-                }
+                let mut tenant = Tenant::build(build, ctx.job_id, ctx.seed);
+                tenant.init();
+                let run = tenant.timeline(duration_ns).run();
+                tenant.outcome(run)
             }
         })
         .collect();
@@ -347,11 +531,23 @@ mod tests {
         }
     }
 
-    /// Counts its own ticks, due every 1ms.
+    /// Counts its own ticks, due every `period` ns from `next`, and at
+    /// each one clears every Accessed bit: the TLB shootdowns make engine
+    /// counters depend on when it fired.
     struct TickCounter {
         period: u64,
         next: u64,
         ticks: u64,
+    }
+
+    impl TickCounter {
+        fn new(next: u64, period: u64) -> Self {
+            Self {
+                period,
+                next,
+                ticks: 0,
+            }
+        }
     }
 
     impl PolicyHook for TickCounter {
@@ -359,7 +555,11 @@ mod tests {
             self.next
         }
 
-        fn tick(&mut self, _e: &mut Engine) {
+        fn tick(&mut self, e: &mut Engine) {
+            let mut hits = Vec::new();
+            for (start, n) in e.vma_ranges() {
+                let _ = e.scan_and_clear_accessed(start, n, &mut hits);
+            }
             self.ticks += 1;
             self.next += self.period;
         }
@@ -423,17 +623,112 @@ mod tests {
             limit: None,
         };
         w.init(&mut e);
-        let mut p = TickCounter {
-            period: 1_000_000,
-            next: 1_000_000,
-            ticks: 0,
-        };
+        let mut p = TickCounter::new(1_000_000, 1_000_000);
         run_for(&mut e, &mut w, &mut p, 10_000_000);
         assert!(
             (9..=11).contains(&p.ticks),
             "expected ~10 ticks over 10ms at 1ms period, got {}",
             p.ticks
         );
+    }
+
+    fn toucher(limit: Option<u64>) -> Toucher {
+        Toucher {
+            base: VirtAddr(0),
+            n: 4096,
+            i: 0,
+            limit,
+        }
+    }
+
+    #[test]
+    fn instrumented_run_matches_run_for_under_a_ticking_policy() {
+        let run = |hist: Option<&mut crate::latency::LatencyHistogram>| {
+            let mut e = engine();
+            let mut w = toucher(None);
+            w.init(&mut e);
+            let mut p = TickCounter::new(100_000, 100_000);
+            let out = match hist {
+                Some(h) => run_for_instrumented(&mut e, &mut w, &mut p, 2_000_000, h),
+                None => run_for(&mut e, &mut w, &mut p, 2_000_000),
+            };
+            (out, e.stats(), p.ticks)
+        };
+        let mut hist = crate::latency::LatencyHistogram::new();
+        let instrumented = run(Some(&mut hist));
+        let plain = run(None);
+        assert!(plain.2 >= 10, "the policy must tick: {} ticks", plain.2);
+        assert_eq!(instrumented, plain, "latency recording changed the run");
+        assert_eq!(hist.count(), plain.0.ops, "one sample per op");
+    }
+
+    #[test]
+    fn run_ops_fires_no_policy_after_its_last_op() {
+        let fresh = || {
+            let mut e = engine();
+            let mut w = toucher(None);
+            w.init(&mut e);
+            (e, w)
+        };
+        // Where the 50th op ends, with no policy to perturb the run.
+        let (mut e, mut w) = fresh();
+        let end = run_ops(&mut e, &mut w, &mut NoPolicy, 50).end_ns;
+        // A policy due exactly then is due after the budget is spent.
+        let (mut e, mut w) = fresh();
+        let mut p = TickCounter::new(end, u64::MAX / 2);
+        let out = run_ops(&mut e, &mut w, &mut p, 50);
+        assert_eq!((out.ops, out.end_ns), (50, end));
+        assert_eq!(p.ticks, 0, "ticked after the last op");
+        // One more op in the budget and it fires, before that op.
+        let (mut e, mut w) = fresh();
+        let mut p = TickCounter::new(end, u64::MAX / 2);
+        assert_eq!(run_ops(&mut e, &mut w, &mut p, 51).ops, 51);
+        assert_eq!(p.ticks, 1);
+    }
+
+    #[test]
+    fn run_ops_zero_fires_no_overdue_policy() {
+        let mut e = engine();
+        let mut w = toucher(None);
+        w.init(&mut e);
+        e.advance_compute(1_000);
+        let mut p = TickCounter::new(0, 1_000_000);
+        let out = run_ops(&mut e, &mut w, &mut p, 0);
+        assert_eq!((out.ops, out.elapsed_ns()), (0, 0));
+        assert_eq!(p.ticks, 0, "an overdue policy fired with no op to run");
+    }
+
+    /// Two short tenants on a shared pool whose `field` period is zero.
+    fn coscheduled_with_zero(field: &str) {
+        let build = |_, _| -> (Engine, Box<dyn Workload>, Box<dyn PolicyHook>) {
+            let mut cfg = SimConfig::paper_defaults(16 << 20, 16 << 20);
+            cfg.sched.shared_pool_bytes = 16 << 20;
+            cfg.sched.initial_grant_bytes = 8 << 20;
+            cfg.sched.report_period_ns = 100_000;
+            cfg.sched.rebalance_period_ns = 200_000;
+            match field {
+                "report" => cfg.sched.report_period_ns = 0,
+                _ => cfg.sched.rebalance_period_ns = 0,
+            }
+            (
+                Engine::new(cfg),
+                Box::new(toucher(Some(100))),
+                Box::new(NoPolicy),
+            )
+        };
+        let _ = crate::sched::run_tenants_coscheduled(2, 1_000_000, 1, None, build);
+    }
+
+    #[test]
+    #[should_panic(expected = "report_period_ns")]
+    fn zero_report_period_is_rejected() {
+        coscheduled_with_zero("report");
+    }
+
+    #[test]
+    #[should_panic(expected = "rebalance_period_ns")]
+    fn zero_rebalance_period_is_rejected() {
+        coscheduled_with_zero("rebalance");
     }
 
     #[test]

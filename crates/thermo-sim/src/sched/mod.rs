@@ -1,14 +1,14 @@
 //! The co-scheduled multi-tenant engine (DESIGN.md §13).
 //!
-//! Every tenant runs on its own `Timeline`: one engine plus the four
-//! kinds of events that act on it — slowdown reporter, policy daemon,
-//! migration-fabric pump and application op — executed in
-//! `(time, class)` order with the fixed phase priority
-//! reporter < daemon < pump < app. Tenants share state only through the
-//! fast-tier [`Arbiter`], whose ticks split virtual time into windows:
-//! [`run_tenants_coscheduled`] advances every live tenant through the
-//! window up to (excluding) the next arbiter tick `S`, applies the
-//! arbiter at `S`, and repeats.
+//! Every tenant runs on its own timeline, the one op loop of
+//! [`crate::runner`]: one engine plus the four kinds of events that act
+//! on it — slowdown reporter, policy daemon, migration-fabric pump and
+//! application op — executed in `(time, class)` order with the fixed
+//! phase priority reporter < daemon < pump < app. Tenants share state
+//! only through the fast-tier [`Arbiter`], whose ticks split virtual time
+//! into windows: [`run_tenants_coscheduled`] advances every live tenant
+//! through the window up to (excluding) the next arbiter tick `S`,
+//! applies the arbiter at `S`, and repeats.
 //!
 //! This is exactly one global event order keyed `(time, class,
 //! component_id)` with the arbiter in class 0: the arbiter runs after
@@ -18,9 +18,8 @@
 //! Two properties are load-bearing and tested:
 //!
 //! * **Charge-neutrality** — with arbitration off there is one unbounded
-//!   window, and a timeline is `run_for`'s loop: a due policy fires
-//!   before the app op at equal times, and a daemon whose tenant is past
-//!   its deadline parks without firing
+//!   window, no reporter and no pump, so each tenant's timeline runs
+//!   exactly as [`crate::runner::run_for`] runs it
 //!   (`thermo-bench/tests/sched_equivalence.rs`).
 //! * **Order-independence within a window** — tenants own disjoint
 //!   engines, so the order in which they advance is unobservable.
@@ -31,11 +30,10 @@
 
 mod decide;
 
-use crate::arbiter::{Arbiter, ArbiterConfig, ArbiterEvent, DecisionKind, TenantReport};
+use crate::arbiter::{Arbiter, ArbiterConfig, ArbiterEvent, DecisionKind};
 use crate::engine::{Engine, PressureStats};
-use crate::runner::{PolicyHook, RunOutcome, ShardOutcome};
-use crate::stats::EngineStats;
-use crate::workload::{Access, Workload};
+use crate::runner::{PolicyHook, Role, RunOutcome, ShardOutcome, Tenant, Timeline};
+use crate::workload::Workload;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use thermo_util::rng::{SeedableRng, SmallRng};
 
@@ -152,6 +150,23 @@ impl Default for SchedConfig {
     }
 }
 
+impl SchedConfig {
+    /// Panics, naming the field, on a period a shared-pool run cannot
+    /// advance by: a zero report period would repeat a tenant's report
+    /// at one instant forever, and a zero rebalance period would never
+    /// move the arbiter's horizon.
+    pub fn validate(&self) {
+        assert!(
+            self.report_period_ns > 0,
+            "sched.report_period_ns must be positive with a shared pool"
+        );
+        assert!(
+            self.rebalance_period_ns > 0,
+            "sched.rebalance_period_ns must be positive with a shared pool"
+        );
+    }
+}
+
 thermo_util::json_struct!(SchedConfig {
     coscheduled,
     shared_pool_bytes,
@@ -163,148 +178,14 @@ thermo_util::json_struct!(SchedConfig {
     max_defer_rounds,
 });
 
-// ---------------------------------------------------------------------
-// Tenant timelines
-// ---------------------------------------------------------------------
-
-/// A tenant's event kinds, in phase order at equal virtual times.
-#[derive(Debug, Clone, Copy)]
-enum Role {
-    /// Samples the engine's slowdown for the arbiter (shared mode only).
-    Reporter,
-    /// Fires the policy at `next_due_ns`, as `run_for` does.
-    Daemon,
-    /// Drains in-flight fabric copies during compute gaps (shared mode
-    /// with the fabric on).
-    Pump,
-    /// One application op; last at a given instant.
-    App,
-}
-
-/// One tenant: its engine, workload and policy, and the next time of
-/// each of its periodic events (`u64::MAX` = never).
-struct Timeline {
-    engine: Engine,
-    workload: Box<dyn Workload>,
-    policy: Box<dyn PolicyHook>,
-    tenant: u32,
-    seed: u64,
-    start_ns: u64,
-    deadline_ns: u64,
-    /// `policy.next_due_ns()`, cached as in `run_for` (it only moves in
-    /// `tick`); `u64::MAX` once the daemon parks past the deadline.
-    due_ns: u64,
-    /// Next slowdown report.
-    report_ns: u64,
-    /// Next fabric pump.
-    pump_ns: u64,
-    /// Period of both reports and pumps.
-    period_ns: u64,
-    /// Engine counters at the previous report.
-    prev: EngineStats,
-    /// The latest report, taken by the next arbiter tick.
-    report: Option<TenantReport>,
-    ops: u64,
-    accesses: Vec<Access>,
-    /// The app has neither finished nor panicked.
-    live: bool,
-    /// Component ids of the daemon (the tenant's first) and the app (its
-    /// last); the reporter and the pump sit in between.
-    daemon_id: u32,
-    app_id: u32,
-    /// The event in progress, to attribute a panic.
-    running: Role,
-}
-
-impl Timeline {
-    /// Runs this tenant's events in `(time, class)` order until the next
-    /// one is at or after `horizon`, or the tenant finishes.
-    fn advance(&mut self, horizon: u64) {
-        while self.live {
-            let periodic = self.report_ns.min(self.due_ns).min(self.pump_ns);
-            // The app's event `(now, APP)` precedes every periodic event
-            // `(t, class < APP)` exactly while `now < t`.
-            self.running = Role::App;
-            let limit = periodic.min(horizon);
-            while self.engine.now_ns() < limit {
-                if !self.app_op() {
-                    return;
-                }
-            }
-            if periodic >= horizon {
-                return;
-            }
-            if self.report_ns == periodic {
-                self.running = Role::Reporter;
-                self.post_report();
-            } else if self.due_ns == periodic {
-                self.running = Role::Daemon;
-                if self.engine.now_ns() >= self.deadline_ns {
-                    // run_for exits its loop before firing a policy due at
-                    // or past the deadline; park instead of ticking.
-                    self.due_ns = u64::MAX;
-                } else {
-                    self.policy.tick(&mut self.engine);
-                    self.due_ns = self.policy.next_due_ns();
-                }
-            } else {
-                self.running = Role::Pump;
-                self.engine.pump_fabric();
-                self.pump_ns += self.period_ns;
-            }
-        }
-    }
-
-    /// One iteration of `run_for`'s op loop; false once the tenant
-    /// finishes (deadline reached or workload exhausted).
-    fn app_op(&mut self) -> bool {
-        let now = self.engine.now_ns();
-        if now >= self.deadline_ns {
-            self.live = false;
-            return false;
-        }
-        self.accesses.clear();
-        let Some(compute_ns) = self.workload.next_op(now, &mut self.accesses) else {
-            self.live = false;
-            return false;
-        };
-        for a in &self.accesses {
-            self.engine.access(a.va, a.write);
-        }
-        self.engine.advance_compute(compute_ns);
-        self.ops += 1;
-        true
-    }
-
-    /// Estimates the slowdown since the previous report from engine
-    /// counter deltas (the paper's §4.3 machinery).
-    fn post_report(&mut self) {
-        let engine = &self.engine;
-        let stats = engine.stats();
-        self.report = Some(TenantReport {
-            slowdown_pct: stats
-                .estimated_slowdown_pct(&self.prev, engine.config().trap.fault_latency_ns),
-            used_fast_bytes: engine.used_bytes(thermo_mem::Tier::Fast),
-            cold_fast_bytes: engine.fast_idle_bytes(),
-            reserved_bytes: engine.fabric().in_flight_bytes(),
-            displaced_bytes: engine.displaced_bytes(),
-            fabric_congested: engine.fabric().busy(),
-        });
-        self.prev = stats;
-        self.report_ns += self.period_ns;
-    }
-
-    /// Id and label of the component running `self.running`.
-    fn running_component(&self) -> (u32, String) {
-        match self.running {
-            Role::Daemon => (
-                self.daemon_id,
-                format!("daemon:{}", self.policy.policy_name()),
-            ),
-            Role::Reporter => (self.daemon_id + 1, format!("reporter:{}", self.tenant)),
-            Role::Pump => (self.app_id - 1, "fabric-pump".into()),
-            Role::App => (self.app_id, format!("app:{}", self.workload.name())),
-        }
+/// Id and label of the component `tl` (tenant `tenant`, whose daemon and
+/// app are components `daemon_id` and `app_id`) was running.
+fn running_component(tl: &Timeline, tenant: u32, (daemon_id, app_id): (u32, u32)) -> (u32, String) {
+    match tl.running {
+        Role::Daemon => (daemon_id, format!("daemon:{}", tl.policy.policy_name())),
+        Role::Reporter => (daemon_id + 1, format!("reporter:{tenant}")),
+        Role::Pump => (app_id - 1, "fabric-pump".into()),
+        Role::App => (app_id, format!("app:{}", tl.workload.name())),
     }
 }
 
@@ -321,16 +202,16 @@ impl Arbitration {
     /// One rebalance at `self.next_ns`: hands the arbiter every report
     /// posted since the previous tick (in tenant order) and applies its
     /// decisions to the tenant engines, finished tenants included.
-    fn tick(&mut self, tenants: &mut [Timeline], trace: &mut Vec<ArbiterEvent>) {
+    fn rebalance(&mut self, tenants: &mut [Timeline], trace: &mut Vec<ArbiterEvent>) {
         let mut slowdowns = vec![0.0f64; tenants.len()];
-        for tl in tenants.iter_mut() {
+        for (t, tl) in tenants.iter_mut().enumerate() {
             if let Some(report) = tl.report.take() {
-                self.arbiter.report(tl.tenant, report);
-                slowdowns[tl.tenant as usize] = report.slowdown_pct;
+                self.arbiter.report(t as u32, report);
+                slowdowns[t] = report.slowdown_pct;
             }
         }
         for d in self.arbiter.rebalance() {
-            let engine = &mut tenants[d.tenant as usize].engine;
+            let engine = &mut *tenants[d.tenant as usize].engine;
             let action = match d.kind {
                 DecisionKind::Reclaim => {
                     // Demote cold capacity first, then lower the cap; the
@@ -376,7 +257,7 @@ pub struct CoSchedOutcome {
     pub trace: Vec<ArbiterEvent>,
 }
 
-/// Runs `n_tenants` co-scheduled on the calling thread, one `Timeline`
+/// Runs `n_tenants` co-scheduled on the calling thread, one timeline
 /// per tenant, advanced window by window between arbiter ticks (see the
 /// module docs).
 ///
@@ -402,20 +283,24 @@ pub fn run_tenants_coscheduled<F>(
 where
     F: Fn(u64, u64) -> (Engine, Box<dyn Workload>, Box<dyn PolicyHook>),
 {
-    let mut tenants: Vec<Timeline> = Vec::with_capacity(n_tenants);
+    let mut tenants: Vec<Tenant> = Vec::with_capacity(n_tenants);
+    let mut ids: Vec<(u32, u32)> = Vec::with_capacity(n_tenants);
     let mut pool_cfg: Option<SchedConfig> = None;
     let mut arbiter: Option<Arbiter> = None;
     let mut next_id = 0u32;
 
-    for t in 0..n_tenants {
+    for t in 0..n_tenants as u64 {
         // thermo-lint: allow(rng_containment, reason = "co-scheduled tenants must receive the exact per-shard seeds the thermo-exec pool derives (sched_equivalence pins this)")
-        let seed = thermo_util::rng::derive_stream_seed(base_seed, t as u64);
-        let (mut engine, mut workload, policy) = build(t as u64, seed);
-        let sched_cfg = engine.config().sched;
+        let seed = thermo_util::rng::derive_stream_seed(base_seed, t);
+        let mut tenant = Tenant::build(&build, t, seed);
+        let sched_cfg = tenant.engine.config().sched;
         let pool = *pool_cfg.get_or_insert(sched_cfg);
         let shared = pool.shared_pool_bytes > 0;
         if shared {
-            engine.set_fast_cap_bytes(Some(sched_cfg.initial_grant_bytes));
+            sched_cfg.validate();
+            tenant
+                .engine
+                .set_fast_cap_bytes(Some(sched_cfg.initial_grant_bytes));
             arbiter
                 .get_or_insert_with(|| {
                     Arbiter::new(ArbiterConfig {
@@ -426,34 +311,24 @@ where
                 })
                 .register(t as u32, sched_cfg.initial_grant_bytes, sched_cfg.slo_pct);
         }
-        workload.init(&mut engine);
-        let start_ns = engine.now_ns();
-        let first_report = start_ns + sched_cfg.report_period_ns;
-        let pumped = shared && engine.config().fabric.enabled;
+        tenant.init();
+        let pumped = shared && tenant.engine.config().fabric.enabled;
         let daemon_id = next_id;
         next_id += 2 + u32::from(shared) + u32::from(pumped);
-        tenants.push(Timeline {
-            due_ns: policy.next_due_ns(),
-            report_ns: if shared { first_report } else { u64::MAX },
-            pump_ns: if pumped { first_report } else { u64::MAX },
-            period_ns: sched_cfg.report_period_ns,
-            prev: engine.stats(),
-            report: None,
-            tenant: t as u32,
-            seed,
-            start_ns,
-            deadline_ns: start_ns.saturating_add(duration_ns),
-            ops: 0,
-            accesses: Vec::with_capacity(16),
-            live: true,
-            daemon_id,
-            app_id: next_id - 1,
-            running: Role::App,
-            engine,
-            workload,
-            policy,
-        });
+        ids.push((daemon_id, next_id - 1));
+        tenants.push(tenant);
     }
+    let mut timelines: Vec<Timeline> = tenants
+        .iter_mut()
+        .map(|tenant| {
+            let tl = tenant.timeline(duration_ns);
+            if arbiter.is_some() {
+                tl.with_reports()
+            } else {
+                tl
+            }
+        })
+        .collect();
 
     let mut arbitration = arbiter.map(|arbiter| {
         let period_ns = pool_cfg
@@ -477,13 +352,13 @@ where
             decide::permute_batch(rng, &mut order);
         }
         for &t in &order {
-            let tl = &mut tenants[t as usize];
+            let tl = &mut timelines[t as usize];
             if !tl.live {
                 continue;
             }
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| tl.advance(horizon))) {
                 tl.live = false;
-                let (component_id, label) = tl.running_component();
+                let (component_id, label) = running_component(tl, t, ids[t as usize]);
                 panics.push(SchedError::ComponentPanicked {
                     component_id,
                     group: t,
@@ -492,13 +367,15 @@ where
                 });
             }
         }
-        if !tenants.iter().any(|tl| tl.live) {
+        if !timelines.iter().any(|tl| tl.live) {
             break;
         }
         let Some(a) = &mut arbitration else {
             break;
         };
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| a.tick(&mut tenants, &mut trace))) {
+        if let Err(payload) =
+            catch_unwind(AssertUnwindSafe(|| a.rebalance(&mut timelines, &mut trace)))
+        {
             panics.push(SchedError::ComponentPanicked {
                 component_id: a.id,
                 group: GROUP_GLOBAL,
@@ -515,26 +392,15 @@ where
     }) {
         return Err(e);
     }
-    let mut shards = Vec::with_capacity(n_tenants);
-    let mut pressure = Vec::with_capacity(n_tenants);
-    for tl in tenants {
-        let engine = &tl.engine;
-        shards.push(ShardOutcome {
-            shard_id: u64::from(tl.tenant),
-            seed: tl.seed,
-            outcome: RunOutcome {
-                ops: tl.ops,
-                start_ns: tl.start_ns,
-                end_ns: engine.now_ns(),
-            },
-            stats: engine.stats(),
-            breakdown: engine.footprint_breakdown(),
-        });
-        pressure.push(engine.pressure_stats());
-    }
+    let runs: Vec<RunOutcome> = timelines.iter().map(Timeline::outcome).collect();
+    drop(timelines);
     Ok(CoSchedOutcome {
-        shards,
-        pressure,
+        shards: tenants
+            .iter()
+            .zip(runs)
+            .map(|(tenant, run)| tenant.outcome(run))
+            .collect(),
+        pressure: tenants.iter().map(|t| t.engine.pressure_stats()).collect(),
         trace,
     })
 }

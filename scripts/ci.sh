@@ -149,129 +149,69 @@ THERMO_SCALE=512 THERMO_DURATION_SECS=3 THERMO_PERIOD_SECS=1 THERMO_SCAN_JOBS=4 
 cmp "$bdir/fig10.scan-inline.artifact.json" target/experiments/fig10.artifact.json
 echo "    byte-identical"
 
-# Parallel golden gate, run twice: once with inline scans (the pre-seam
+# Golden gate, run twice: once with inline scans (the pre-seam
 # wall-clock baseline) and once with a 4-worker scan pool, so the
 # off-thread scan speedup — and the fact that the verdict is identical —
-# is visible in CI logs. Per-experiment and total wall-clock are printed
-# by the golden binary.
+# is visible in CI logs. `golden.sh check` compares every fresh artifact
+# with its golden byte for byte (DESIGN.md §8); per-experiment and total
+# wall-clock are printed by the golden binary.
 echo "==> golden-artifact check, inline scans (THERMO_SCAN_JOBS=1, THERMO_JOBS=$THERMO_JOBS) — wall-clock before"
-THERMO_SCAN_JOBS=1 scripts/golden.sh check
+THERMO_SCAN_JOBS=1 scripts/golden.sh check | tee "$bdir/golden-check.log"
 echo "==> golden-artifact check, off-thread scans (THERMO_SCAN_JOBS=4, THERMO_JOBS=$THERMO_JOBS) — wall-clock after"
 THERMO_SCAN_JOBS=4 scripts/golden.sh check
 
-# Byte-identity gate: `golden.sh check` compares structurally, with float
-# tolerance bands, so a speed change that nudges a derived float inside
-# its band would pass it. Goldens are required to stay byte-identical
-# (ROADMAP), so bless the smoke registry into a temporary tree and compare
-# every artifact's bytes against goldens/ in both directions.
-echo "==> golden byte-identity gate (fresh smoke bless vs goldens/, cmp)"
-rebless="$PWD/$bdir/rebless"
-rm -rf "$rebless"
-THERMO_GOLDEN_DIR="$rebless" scripts/golden.sh bless >/dev/null
+# Orphan goldens: every goldens/*.json but the two baselines must belong
+# to a registry experiment the check above ran.
+echo "==> orphan golden check"
 n_golden=0
-for fresh in "$rebless"/*.json; do
-  name=$(basename "$fresh")
-  cmp "$fresh" "goldens/$name" || {
-    echo "FAIL: goldens/$name is missing or not byte-identical to a fresh bless" >&2
+for golden in goldens/*.json; do
+  name=$(basename "$golden" .json)
+  case "$name" in
+    bench-baseline | lint-baseline) continue ;;
+  esac
+  grep -q "^golden ok: $name " "$bdir/golden-check.log" || {
+    echo "FAIL: $golden has no fresh artifact (experiment missing from the registry?)" >&2
     exit 1
   }
   n_golden=$((n_golden + 1))
 done
-for golden in goldens/*.json; do
-  name=$(basename "$golden")
-  case "$name" in
-    bench-baseline.json | lint-baseline.json) continue ;;
-  esac
-  if [ ! -f "$rebless/$name" ]; then
-    echo "FAIL: $golden has no fresh artifact (experiment missing from the registry?)" >&2
-    exit 1
-  fi
-done
-echo "    $n_golden artifacts byte-identical"
+echo "    $n_golden goldens, each checked against a registry experiment"
 
-# Determinism cross-check: the cheapest registry experiment re-run
-# serially must match the same goldens the parallel sweep just checked —
-# a live guard that worker count never leaks into artifacts.
-echo "==> golden determinism cross-check (THERMO_JOBS=1, fig10)"
-THERMO_JOBS=1 scripts/golden.sh check fig10
-
-# Migration-fabric cross-check: the transactional-migration experiments
-# (async copy, write-abort/retry backoff, shadow promotion) are the
-# registry entries most sensitive to scheduling leaks — re-check their
-# goldens serially on top of the parallel sweep above.
-echo "==> golden determinism cross-check (THERMO_JOBS=1, fab_bw fab_abort)"
-THERMO_JOBS=1 scripts/golden.sh check fab_bw fab_abort
-
-# Co-scheduled shared-tier cross-check: tenants_shared runs three
-# tenants on one discrete-event timeline over one arbitrated pool
-# (DESIGN.md §13); its golden must be identical serially — the run is
-# single-threaded by construction, so worker count must be unobservable.
-echo "==> golden determinism cross-check (THERMO_JOBS=1, tenants_shared)"
-THERMO_JOBS=1 scripts/golden.sh check tenants_shared
-
-# Scenario smoke-scale sweep: the compiled-scenario experiments — the
-# 1024-shard policy-matrix fleet (sharded path) and the 32-tenant
-# co-scheduled storm (DESIGN.md §14) — re-checked serially so a worker
-# count of one reproduces the same goldens the parallel sweep covered.
-echo "==> golden determinism cross-check (THERMO_JOBS=1, scen_fleet scen_storm)"
-THERMO_JOBS=1 scripts/golden.sh check scen_fleet scen_storm
+# Determinism cross-check: worker count must never leak into artifacts.
+# Re-check serially the experiments most sensitive to scheduling leaks —
+# the cheapest figure, the transactional-migration experiments, the
+# co-scheduled shared tier (DESIGN.md §13) and both compiled scenarios
+# (DESIGN.md §14) — against the goldens the parallel sweep just checked.
+echo "==> golden determinism cross-check (THERMO_JOBS=1, fig10 fab_bw fab_abort tenants_shared scen_fleet scen_storm)"
+THERMO_JOBS=1 scripts/golden.sh check fig10 fab_bw fab_abort tenants_shared scen_fleet scen_storm
 
 # Scheduler ordering-fuzz sweep: THERMO_SCHED_FUZZ permutes, under a
 # seeded RNG, the order in which co-scheduled tenants advance within
-# each arbiter window. Tenants own disjoint engines, so the co-scheduled
-# goldens must stay byte-identical under every seed (tests/sched_fuzz.rs
-# sweeps the whole registry in-process). Here both experiments that
-# co-schedule tenants — tenants_shared's three tenants and the scenario
-# storm's 32 mixed-policy tenants — are blessed into a temporary tree and
-# their bytes compared against the committed goldens.
+# each arbiter window. Tenants own disjoint engines, so both experiments
+# that co-schedule tenants must still match their goldens byte for byte
+# under every seed (tests/sched_fuzz.rs sweeps the whole registry
+# in-process).
 for fuzz_seed in 1 2 3735928559 6840227782638526189; do
-  echo "==> scheduler ordering-fuzz byte check (THERMO_SCHED_FUZZ=$fuzz_seed, tenants_shared scen_storm)"
-  fuzzdir="$PWD/$bdir/sched-fuzz-$fuzz_seed"
-  rm -rf "$fuzzdir"
-  THERMO_SCHED_FUZZ=$fuzz_seed THERMO_GOLDEN_DIR="$fuzzdir" \
-    scripts/golden.sh bless tenants_shared scen_storm >/dev/null
-  for name in tenants_shared scen_storm; do
-    cmp "$fuzzdir/$name.json" "goldens/$name.json" || {
-      echo "FAIL: goldens/$name.json is not byte-identical under THERMO_SCHED_FUZZ=$fuzz_seed" >&2
-      exit 1
-    }
-  done
+  echo "==> scheduler ordering-fuzz check (THERMO_SCHED_FUZZ=$fuzz_seed, tenants_shared scen_storm)"
+  THERMO_SCHED_FUZZ=$fuzz_seed scripts/golden.sh check tenants_shared scen_storm
 done
 
-# Executor worker-count cross-check at the binary boundary: the golden
-# sweeps above already check every experiment against its golden under
-# THERMO_JOBS workers, but tolerance bands could in principle mask a
-# sub-band scheduling leak. Bless the heaviest sharded experiment with
-# one worker and with an oversubscribed pool into temporary trees and
-# compare the artifact BYTES directly — the job-id-order merge
-# (DESIGN.md §9) must make worker count entirely unobservable.
-echo "==> executor worker-count cross-check (scen_fleet, THERMO_JOBS=1 vs 8, byte compare)"
-for jobs in 1 8; do
-  rm -rf "$PWD/$bdir/fleet-jobs$jobs"
-  THERMO_JOBS=$jobs THERMO_GOLDEN_DIR="$PWD/$bdir/fleet-jobs$jobs" \
-    scripts/golden.sh bless scen_fleet >/dev/null
-done
-cmp "$bdir/fleet-jobs1/scen_fleet.json" "$bdir/fleet-jobs8/scen_fleet.json"
-echo "    byte-identical"
+# Executor worker-count cross-check: the heaviest sharded experiment,
+# already checked with one worker above, with an oversubscribed pool —
+# the job-id-order merge (DESIGN.md §9) must make worker count entirely
+# unobservable.
+echo "==> executor worker-count cross-check (THERMO_JOBS=8, scen_fleet)"
+THERMO_JOBS=8 scripts/golden.sh check scen_fleet
 
 # Executor claim-order fuzz sweep: THERMO_EXEC_FUZZ=<seed> makes the
 # workers claim jobs in a seeded-shuffled order, adversarially perturbing
 # which worker executes which job. Under an oversubscribed pool, every
-# seed must bless artifacts byte-identical to the committed goldens —
-# the in-process version is thermo-bench/tests/exec_determinism.rs; this
-# is the live end-to-end guard at the binary boundary.
+# seed must reproduce the committed goldens byte for byte — the
+# in-process version is thermo-bench/tests/exec_determinism.rs; this is
+# the live end-to-end guard at the binary boundary.
 for fuzz_seed in 1 2 3735928559 6840227782638526189; do
-  echo "==> executor claim-order fuzz byte check (THERMO_EXEC_FUZZ=$fuzz_seed, THERMO_JOBS=8, scen_fleet fig8)"
-  fuzzdir="$PWD/$bdir/exec-fuzz-$fuzz_seed"
-  rm -rf "$fuzzdir"
-  THERMO_EXEC_FUZZ=$fuzz_seed THERMO_JOBS=8 THERMO_GOLDEN_DIR="$fuzzdir" \
-    scripts/golden.sh bless scen_fleet fig8 >/dev/null
-  for name in scen_fleet fig8; do
-    cmp "$fuzzdir/$name.json" "goldens/$name.json" || {
-      echo "FAIL: goldens/$name.json is not byte-identical under THERMO_EXEC_FUZZ=$fuzz_seed" >&2
-      exit 1
-    }
-  done
+  echo "==> executor claim-order fuzz check (THERMO_EXEC_FUZZ=$fuzz_seed, THERMO_JOBS=8, scen_fleet fig8)"
+  THERMO_EXEC_FUZZ=$fuzz_seed THERMO_JOBS=8 scripts/golden.sh check scen_fleet fig8
 done
 
 echo "CI OK"

@@ -2,15 +2,15 @@
 # Golden-artifact gate for the fig/tab experiment registry.
 #
 #   scripts/golden.sh check [--full] [id...]   re-run experiments and
-#                                     structurally diff against goldens/
-#                                     (tolerance bands; exit 1 on mismatch)
+#                                     compare with goldens/ byte for byte
+#                                     (exit 1 on mismatch)
 #   scripts/golden.sh bless [--full] [id...]   overwrite goldens with fresh
 #                                     artifacts
 #
-# With no ids, all registered experiments (fig5–fig10, tab2–tab4, and
-# the multi-tenant `tenants` colocation run) execute as parallel jobs on
-# the thermo-exec pool (THERMO_JOBS workers, default = available
-# parallelism). Policy scans inside each experiment additionally fan out
+# With no ids, all 15 registered experiments (fig5–fig10, tab2–tab4,
+# tenants, fab_bw, fab_abort, tenants_shared, scen_fleet, scen_storm)
+# execute as parallel jobs on the thermo-exec pool (THERMO_JOBS workers,
+# default = available parallelism). Policy scans inside each experiment additionally fan out
 # over their own pool (THERMO_SCAN_JOBS workers, default 1 = inline).
 # Artifacts are byte-identical for any worker count on either knob, so
 # parallelism only changes the wall-clock, which the binary prints per
@@ -19,15 +19,14 @@
 # Two tiers:
 #   default      smoke scale (EvalParams::smoke), goldens/, default CI;
 #   --full       the full 1/16 evaluation scale (EvalParams::full),
-#                goldens/full/, opt-in for release branches — bless it
-#                once before the first check (its goldens are blessed
-#                separately and are NOT part of default CI). Equivalent:
-#                THERMO_GOLDEN_SCALE=full.
+#                goldens/full/, opt-in for release branches (its goldens
+#                are blessed separately and are NOT part of default
+#                CI). Equivalent: THERMO_GOLDEN_SCALE=full.
 #
-# The diff is structural, not byte-based: integers (policy decisions)
-# must match exactly, floats (derived measurements) get per-field
-# tolerance bands — see DESIGN.md "Golden artifacts". Set
-# THERMO_GOLDEN_DIR to check against an alternate golden tree.
+# A fresh artifact's canonical JSON must equal its golden's bytes; on a
+# mismatch the report names the diverging fields and the first diverging
+# period — see DESIGN.md "Golden artifacts". Set THERMO_GOLDEN_DIR to
+# check against an alternate golden tree.
 #
 # Note: `bless` covers experiment artifacts only. The static-analysis
 # baseline (goldens/lint-baseline.json) is blessed separately — after
