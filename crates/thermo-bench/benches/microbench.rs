@@ -238,12 +238,11 @@ fn bench_dists(c: &mut Criterion) {
 }
 
 fn bench_lint(c: &mut Criterion) {
-    // Single worker: measures the analysis itself (lex + tree + flow over
-    // every workspace source), not pool scheduling.
+    // The whole serial walk: lex + tree + flow over every workspace source.
     let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     c.bench_function("lint_workspace", |b| {
         b.iter(|| {
-            let findings = thermo_lint::lint_workspace_with(root, 1).expect("workspace readable");
+            let findings = thermo_lint::lint_workspace(root).expect("workspace readable");
             black_box(findings.len())
         })
     });

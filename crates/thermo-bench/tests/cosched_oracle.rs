@@ -46,8 +46,7 @@ const STORM_TENANTS: [u64; 6] = [0, 10, 18, 26, 30, 1];
 const CLASS_ARBITER: u8 = 0;
 const CLASS_REPORTER: u8 = 1;
 const CLASS_DAEMON: u8 = 2;
-const CLASS_PUMP: u8 = 3;
-const CLASS_APP: u8 = 4;
+const CLASS_APP: u8 = 3;
 
 /// One generated case.
 #[derive(Debug, Clone, Copy)]
@@ -201,14 +200,13 @@ fn build(
 enum Kind {
     Daemon,
     Reporter,
-    Pump,
     App,
 }
 
 struct Comp {
     id: u32,
     kind: Kind,
-    /// Next tick of a reporter or pump.
+    /// Next tick of a reporter.
     next_ns: u64,
     parked: bool,
 }
@@ -223,7 +221,7 @@ struct RefTenant {
     period_ns: u64,
     prev: EngineStats,
     ops: u64,
-    /// Registration order: daemon, [reporter, [pump]], app.
+    /// Registration order: daemon, [reporter], app.
     comps: Vec<Comp>,
 }
 
@@ -232,7 +230,6 @@ impl RefTenant {
         match c.kind {
             Kind::Daemon => (self.policy.next_due_ns(), CLASS_DAEMON),
             Kind::Reporter => (c.next_ns, CLASS_REPORTER),
-            Kind::Pump => (c.next_ns, CLASS_PUMP),
             Kind::App => (self.engine.now_ns(), CLASS_APP),
         }
     }
@@ -241,7 +238,6 @@ impl RefTenant {
         match kind {
             Kind::Daemon => format!("daemon:{}", self.policy.policy_name()),
             Kind::Reporter => format!("reporter:{tenant}"),
-            Kind::Pump => "fabric-pump".into(),
             Kind::App => format!("app:{}", self.workload.name()),
         }
     }
@@ -298,10 +294,6 @@ impl RefTenant {
                 };
                 self.prev = stats;
                 mailbox.insert(tenant, report);
-                self.comps[k].next_ns += self.period_ns;
-            }
-            Kind::Pump => {
-                self.engine.pump_fabric();
                 self.comps[k].next_ns += self.period_ns;
             }
         }
@@ -399,7 +391,7 @@ where
                     arbiter: Arbiter::new(ArbiterConfig {
                         pool_bytes: pool.shared_pool_bytes,
                         grant_quantum_bytes: pool.grant_quantum_bytes,
-                        max_defer_rounds: pool.max_defer_rounds,
+                        ..ArbiterConfig::default()
                     }),
                     id: 0,
                     next_ns: pool.rebalance_period_ns,
@@ -421,9 +413,6 @@ where
         let mut comps = vec![comp(id(), Kind::Daemon)];
         if shared {
             comps.push(comp(id(), Kind::Reporter));
-            if engine.config().fabric.enabled {
-                comps.push(comp(id(), Kind::Pump));
-            }
         }
         comps.push(comp(id(), Kind::App));
         tenants.push(RefTenant {

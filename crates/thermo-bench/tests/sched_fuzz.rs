@@ -7,8 +7,8 @@
 //!
 //! Experiments on the sharded path never consult the knob (their
 //! tenants live on private timelines); `tenants_shared` and `scen_storm`
-//! actually exercise it, with apps, daemons, reporters, fabric pumps,
-//! and the arbiter sharing one arbitrated pool. The registry-wide
+//! actually exercise it, with apps, daemons, reporters and the arbiter
+//! sharing one arbitrated pool. The registry-wide
 //! sweep is deliberate anyway: it pins that the knob is inert everywhere
 //! else, so a future co-scheduled port of another experiment inherits
 //! the campaign for free.

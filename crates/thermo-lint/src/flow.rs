@@ -5,9 +5,9 @@
 //!   to the `_` wildcard. `PlanReceipt` and `MemoryView` are `#[must_use]`
 //!   and the workspace denies `unused_must_use`, so rustc rejects a receipt
 //!   dropped as a statement; a wildcard binding is the discard it accepts.
-//! * **X1 `plan_op_exhaustiveness`** — a `_ =>` arm inside `local_window`
-//!   or `apply_op`. Both match `PlanOp` exhaustively, so rustc names a new
-//!   variant's missing arm; a wildcard arm would absorb it silently.
+//! * **X1 `plan_op_exhaustiveness`** — a `_ =>` arm inside `apply_op`.
+//!   It matches `PlanOp` exhaustively, so rustc names a new variant's
+//!   missing arm; a wildcard arm would absorb it silently.
 //! * **T1 `rng_taint`** — intraprocedural taint: values produced by
 //!   seed-derivation or `draw_*` calls (and, inside `decide.rs`, raw RNG
 //!   draw methods) must not flow out of a bare-`pub` fn through `return`
@@ -30,8 +30,8 @@ use crate::tree::{self, Flat, Tree, Vis};
 /// Methods whose results are engine receipts/snapshots (R1).
 const RECEIPT_METHODS: [&str; 3] = ["apply_plan", "memory_view", "memory_view_uncharged"];
 
-/// The exhaustive `PlanOp` matches that must not grow a wildcard arm (X1).
-const PLAN_OP_MATCH_FNS: [&str; 2] = ["local_window", "apply_op"];
+/// The exhaustive `PlanOp` match that must not grow a wildcard arm (X1).
+const PLAN_OP_MATCH_FN: &str = "apply_op";
 
 /// Seed-derivation fns whose results are taint sources everywhere (T1).
 const TAINT_SEED_FNS: [&str; 2] = ["derive_stream_seed", "splitmix64"];
@@ -88,12 +88,12 @@ pub fn lint_dropped_receipt(tokens: &[Token], file: &str, findings: &mut Vec<Fin
     }
 }
 
-/// X1: a `_ =>` arm inside a fn named `local_window` or `apply_op`. Both
-/// are exhaustive matches over `PlanOp`, so rustc already rejects a new
-/// variant that lacks an arm there — unless a wildcard arm absorbs it.
+/// X1: a `_ =>` arm inside a fn named `apply_op`, an exhaustive match
+/// over `PlanOp`, so rustc already rejects a new variant that lacks an
+/// arm there — unless a wildcard arm absorbs it.
 pub fn lint_plan_op_wildcard(trees: &[Tree], file: &str, findings: &mut Vec<Finding>) {
     tree::walk_items(trees, &mut |f| {
-        if !PLAN_OP_MATCH_FNS.contains(&f.name) {
+        if f.name != PLAN_OP_MATCH_FN {
             return;
         }
         let Some(body) = f.body else { return };

@@ -30,16 +30,15 @@
 //! * **R1 `dropped_receipt`** — an `apply_plan`/`memory_view` result bound
 //!   to `_`. A receipt dropped as a statement already fails to compile
 //!   (`#[must_use]` plus the workspace's `unused_must_use = "deny"`).
-//! * **X1 `plan_op_exhaustiveness`** — a `_ =>` arm in `local_window` or
-//!   `apply_op`, which would let a new `PlanOp` variant slip past rustc's
-//!   exhaustiveness check.
+//! * **X1 `plan_op_exhaustiveness`** — a `_ =>` arm in `apply_op`, which
+//!   would let a new `PlanOp` variant slip past rustc's exhaustiveness
+//!   check.
 //! * **T1 `rng_taint`** — seed/draw values must not escape through
 //!   non-decide public fns (intraprocedural taint, sanctioned `draw_*` /
 //!   `*_seed` egress names).
 //!
-//! The workspace walk fans per-file analysis out through `thermo-exec`
-//! and merges findings in path order, so reports are byte-stable for any
-//! `THERMO_JOBS` value. Violations that predate the linter live in
+//! The workspace walk analyzes files one by one in path order, so reports
+//! are byte-stable. Violations that predate the linter live in
 //! `goldens/lint-baseline.json`: the CI gate fails on *new* findings while
 //! grandfathered ones stay visible (and are expected to be counted down
 //! to zero). Intentional exceptions are annotated in-source:
@@ -121,16 +120,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 
 /// Lints every workspace source under `root`; findings come back sorted by
 /// `(file, line, col, lint, …)` so output (and `--json`) is byte-stable.
-///
-/// Per-file analysis fans out through the thermo-exec pool (`THERMO_JOBS`
-/// workers); results merge in stable path order, so the
-/// report is byte-identical for every worker count.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    lint_workspace_with(root, thermo_exec::jobs_from_env())
-}
-
-/// [`lint_workspace`] with an explicit worker count.
-pub fn lint_workspace_with(root: &Path, workers: usize) -> io::Result<Vec<Finding>> {
     let mut sources = Vec::new();
     for path in workspace_sources(root)? {
         let rel = path
@@ -141,13 +131,7 @@ pub fn lint_workspace_with(root: &Path, workers: usize) -> io::Result<Vec<Findin
         let source = fs::read_to_string(&path)?;
         sources.push((rel, source));
     }
-    let jobs: Vec<_> = sources
-        .into_iter()
-        .map(|(rel, source)| move |_ctx: &thermo_exec::JobCtx| lints::analyze_source(&rel, &source))
-        .collect();
-    let analyses = thermo_exec::run_jobs(jobs, &thermo_exec::ExecConfig::new(workers, 0))
-        .map_err(|e| io::Error::new(io::ErrorKind::Other, e.to_string()))?;
-    Ok(lints::finish(analyses))
+    Ok(lint_files(&sources))
 }
 
 /// Per-lint finding counts, in canonical lint order (then any unknowns).

@@ -200,7 +200,7 @@ const AMBIENT_ALLOWED_PREFIXES: [&str; 2] = ["crates/thermo-bench/", "scripts/"]
 
 /// Engine mechanism entry points policies may not name (S1). Policies get
 /// the same effects through `PolicyPlan` ops applied by `apply_plan`.
-const SEAM_FORBIDDEN: [&str; 10] = [
+const SEAM_FORBIDDEN: [&str; 9] = [
     "scan_and_clear_accessed",
     "read_accessed",
     "clear_accessed_set",
@@ -210,7 +210,6 @@ const SEAM_FORBIDDEN: [&str; 10] = [
     "collapse_huge",
     "poison_page",
     "unpoison_page",
-    "trap_mut",
 ];
 
 /// RNG draw methods (`rng.<method>(…)`) counted as draws by D3 (and as
@@ -467,9 +466,8 @@ pub(crate) fn strip_cfg_test(tokens: &[Token]) -> Vec<Token> {
 }
 
 /// One file's analysis: findings before pragma suppression and its parsed
-/// pragmas. Produced per file (the workspace driver fans this out through
-/// thermo-exec) and merged by [`finish`], which applies suppression with
-/// stale-pragma accounting, and sorts.
+/// pragmas. Produced per file and merged by [`finish`], which applies
+/// suppression with stale-pragma accounting, and sorts.
 #[derive(Debug)]
 pub struct FileAnalysis {
     file: String,

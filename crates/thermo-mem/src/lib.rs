@@ -17,8 +17,6 @@
 //! * [`wear`] — write-endurance tracking for the slow tier (paper §6,
 //!   "Device wear").
 //! * [`cost`] — the memory-cost savings model behind Table 4.
-//! * [`numa`] — a thin NUMA-zone façade mirroring how the paper exposes slow
-//!   memory to the guest as a separate zone.
 //!
 //! # Example
 //!
@@ -43,7 +41,6 @@ pub mod cost;
 pub mod error;
 pub mod frame;
 pub mod migrate;
-pub mod numa;
 pub mod startgap;
 pub mod tier;
 pub mod wear;
@@ -55,8 +52,7 @@ pub use addr::{
 pub use cost::{CostModel, CostReport};
 pub use error::MemError;
 pub use frame::{FrameAllocator, FrameStats};
-pub use migrate::{MigrationEngine, MigrationKind, MigrationRecord, MigrationStats};
-pub use numa::{NumaTopology, NumaZone};
+pub use migrate::{MigrationEngine, MigrationStats};
 pub use startgap::{StartGap, StartGapStats};
 pub use tier::{Tier, TierParams};
 pub use wear::{WearStats, WearTracker};

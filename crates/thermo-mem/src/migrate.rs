@@ -13,39 +13,6 @@
 
 use crate::addr::PageSize;
 use crate::tier::Tier;
-use std::fmt;
-
-/// Direction/intent of a migration, matching Table 3's two columns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MigrationKind {
-    /// A page classified cold being demoted to slow memory.
-    ToSlow,
-    /// A page brought back to fast memory by the §3.5 correction mechanism,
-    /// i.e. a false classification (or a page whose behaviour changed).
-    BackToFast,
-}
-
-impl fmt::Display for MigrationKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MigrationKind::ToSlow => write!(f, "migration"),
-            MigrationKind::BackToFast => write!(f, "false-classification"),
-        }
-    }
-}
-
-/// One completed migration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MigrationRecord {
-    /// Virtual time at which the migration completed (ns).
-    pub at_ns: u64,
-    /// Bytes copied.
-    pub bytes: u64,
-    /// Direction.
-    pub kind: MigrationKind,
-    /// Page size moved.
-    pub size: PageSize,
-}
 
 /// Aggregate migration statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,7 +21,8 @@ pub struct MigrationStats {
     pub to_slow_pages: u64,
     /// Bytes demoted to slow memory.
     pub to_slow_bytes: u64,
-    /// Pages promoted back to fast memory.
+    /// Pages promoted back to fast memory by the §3.5 correction mechanism,
+    /// i.e. false classifications (or pages whose behaviour changed).
     pub back_to_fast_pages: u64,
     /// Bytes promoted back to fast memory.
     pub back_to_fast_bytes: u64,
@@ -94,8 +62,6 @@ pub struct MigrationEngine {
     /// Fixed per-page software overhead (page-table updates, TLB shootdown).
     per_page_overhead_ns: u64,
     stats: MigrationStats,
-    history: Vec<MigrationRecord>,
-    keep_history: bool,
 }
 
 impl MigrationEngine {
@@ -106,8 +72,6 @@ impl MigrationEngine {
             copy_bandwidth_bytes_per_sec,
             per_page_overhead_ns,
             stats: MigrationStats::default(),
-            history: Vec::new(),
-            keep_history: false,
         }
     }
 
@@ -117,57 +81,34 @@ impl MigrationEngine {
         Self::new(2_000_000_000, 5_000)
     }
 
-    /// Enables recording of individual [`MigrationRecord`]s (off by default;
-    /// the fig/table harnesses only need aggregates).
-    pub fn set_keep_history(&mut self, keep: bool) {
-        self.keep_history = keep;
-    }
-
     /// Time to migrate one page of `size`, in ns.
     pub fn migration_cost_ns(&self, size: PageSize) -> u64 {
         let copy = size.bytes() as u64 * 1_000_000_000 / self.copy_bandwidth_bytes_per_sec;
         copy + self.per_page_overhead_ns
     }
 
-    /// Records a migration of one page of `size` towards `target` completing
-    /// at virtual time `now_ns`; returns the charged copy time in ns.
-    pub fn record(&mut self, target: Tier, size: PageSize, now_ns: u64) -> u64 {
+    /// Records a migration of one page of `size` towards `target`; returns
+    /// the charged copy time in ns.
+    pub fn record(&mut self, target: Tier, size: PageSize) -> u64 {
         let bytes = size.bytes() as u64;
-        let kind = match target {
-            Tier::Slow => MigrationKind::ToSlow,
-            Tier::Fast => MigrationKind::BackToFast,
-        };
-        match kind {
-            MigrationKind::ToSlow => {
+        match target {
+            Tier::Slow => {
                 self.stats.to_slow_pages += 1;
                 self.stats.to_slow_bytes += bytes;
             }
-            MigrationKind::BackToFast => {
+            Tier::Fast => {
                 self.stats.back_to_fast_pages += 1;
                 self.stats.back_to_fast_bytes += bytes;
             }
         }
         let cost = self.migration_cost_ns(size);
         self.stats.copy_time_ns += cost;
-        if self.keep_history {
-            self.history.push(MigrationRecord {
-                at_ns: now_ns,
-                bytes,
-                kind,
-                size,
-            });
-        }
         cost
     }
 
     /// Aggregate statistics.
     pub fn stats(&self) -> MigrationStats {
         self.stats
-    }
-
-    /// Recorded individual migrations (empty unless history is enabled).
-    pub fn history(&self) -> &[MigrationRecord] {
-        &self.history
     }
 }
 
@@ -194,9 +135,9 @@ mod tests {
     #[test]
     fn record_accumulates_by_kind() {
         let mut e = MigrationEngine::with_defaults();
-        e.record(Tier::Slow, PageSize::Huge2M, 100);
-        e.record(Tier::Slow, PageSize::Small4K, 200);
-        e.record(Tier::Fast, PageSize::Huge2M, 300);
+        e.record(Tier::Slow, PageSize::Huge2M);
+        e.record(Tier::Slow, PageSize::Small4K);
+        e.record(Tier::Fast, PageSize::Huge2M);
         let s = e.stats();
         assert_eq!(s.to_slow_pages, 2);
         assert_eq!(s.to_slow_bytes, (2 * 1024 * 1024 + 4096) as u64);
@@ -209,7 +150,7 @@ mod tests {
         let mut e = MigrationEngine::with_defaults();
         // 20 MB demoted over 2 seconds -> 10 MB/s.
         for _ in 0..10 {
-            e.record(Tier::Slow, PageSize::Huge2M, 0);
+            e.record(Tier::Slow, PageSize::Huge2M);
         }
         let mbps = e.stats().to_slow_mbps(2_000_000_000);
         assert!((mbps - 10.485).abs() < 0.1, "got {mbps}");
@@ -220,25 +161,5 @@ mod tests {
         let s = MigrationStats::default();
         assert_eq!(s.to_slow_mbps(0), 0.0);
         assert_eq!(s.back_to_fast_mbps(0), 0.0);
-    }
-
-    #[test]
-    fn history_only_when_enabled() {
-        let mut e = MigrationEngine::with_defaults();
-        e.record(Tier::Slow, PageSize::Small4K, 1);
-        assert!(e.history().is_empty());
-        e.set_keep_history(true);
-        e.record(Tier::Fast, PageSize::Small4K, 2);
-        assert_eq!(e.history().len(), 1);
-        assert_eq!(e.history()[0].kind, MigrationKind::BackToFast);
-    }
-
-    #[test]
-    fn kind_display() {
-        assert_eq!(format!("{}", MigrationKind::ToSlow), "migration");
-        assert_eq!(
-            format!("{}", MigrationKind::BackToFast),
-            "false-classification"
-        );
     }
 }

@@ -5,7 +5,7 @@ use crate::fabric::FabricConfig;
 use crate::sched::SchedConfig;
 use thermo_mem::TierParams;
 use thermo_trap::TrapConfig;
-use thermo_vm::{TlbConfig, Vpid, WalkConfig};
+use thermo_vm::{TlbConfig, WalkConfig};
 
 /// How accesses to slow-tier pages are charged.
 ///
@@ -45,12 +45,6 @@ pub struct SimConfig {
     pub trap: TrapConfig,
     /// Cold access charging model.
     pub cold_model: ColdAccessModel,
-    /// VPID used for the single simulated guest.
-    pub vpid: Vpid,
-    /// Minor-fault (demand paging) cost for a 4KB page, ns.
-    pub minor_fault_small_ns: u64,
-    /// Minor-fault cost for a 2MB THP allocation (includes zeroing), ns.
-    pub minor_fault_huge_ns: u64,
     /// Transparent huge pages: when false every demand-paging fault maps a
     /// 4KB page (the Table 1 "THP disabled on host and guest" baseline).
     pub thp_enabled: bool,
@@ -62,8 +56,6 @@ pub struct SimConfig {
     /// switches and vmexits that bound TLB-entry lifetime on a real host.
     /// `None` (default) relies on capacity eviction alone.
     pub tlb_flush_period_ns: Option<u64>,
-    /// Bucket width for time-series rates, ns (1s by default).
-    pub series_bucket_ns: u64,
     /// Migration-fabric knobs (transactional migration is off by default;
     /// `migrate_page` stays synchronous and all pre-fabric goldens hold).
     pub fabric: FabricConfig,
@@ -86,13 +78,9 @@ impl SimConfig {
             slow: TierParams::slow_1us(slow_bytes),
             trap: TrapConfig::default(),
             cold_model: ColdAccessModel::FaultEmulated,
-            vpid: Vpid(1),
-            minor_fault_small_ns: 2_000,
-            minor_fault_huge_ns: 40_000,
             thp_enabled: true,
             track_true_access: false,
             tlb_flush_period_ns: None,
-            series_bucket_ns: 1_000_000_000,
             fabric: FabricConfig::default(),
             sched: SchedConfig::default(),
         }
@@ -140,13 +128,9 @@ thermo_util::json_struct!(SimConfig {
     slow,
     trap,
     cold_model,
-    vpid,
-    minor_fault_small_ns,
-    minor_fault_huge_ns,
     thp_enabled,
     track_true_access,
     tlb_flush_period_ns,
-    series_bucket_ns,
     fabric,
     sched,
 });

@@ -8,9 +8,12 @@
 //! seam rather than calling them directly; they stay public for ablation
 //! harnesses, property tests, and simple baselines (CLOCK, DAMON).
 
-use super::{Engine, FootprintBreakdown, SCAN_SHOOTDOWN_NS, SCAN_VISIT_NS, THP_SURGERY_NS};
+use super::{
+    Engine, FootprintBreakdown, FABRIC_REMAP_NS, SCAN_SHOOTDOWN_NS, SCAN_VISIT_NS, THP_SURGERY_NS,
+    VPID,
+};
 use thermo_mem::{MemError, PageSize, Pfn, Tier, Vpn, PAGES_PER_HUGE};
-use thermo_vm::{scan_and_clear, MapError, ScanCost, ScanHit};
+use thermo_vm::{scan_and_clear, MapError, Mapping, ScanCost, ScanHit};
 
 impl Engine {
     /// Splits the huge page at `base_vpn` (Thermostat sampling step 1).
@@ -22,7 +25,7 @@ impl Engine {
         self.fab
             .invalidate_overlapping(base_vpn, PAGES_PER_HUGE as u64);
         self.pt.split_huge(base_vpn)?;
-        self.tlb.shootdown(base_vpn, PageSize::Huge2M, self.vpid);
+        self.tlb.shootdown(base_vpn, PageSize::Huge2M, VPID);
         self.stats.kernel_time_ns += THP_SURGERY_NS;
         Ok(())
     }
@@ -48,7 +51,7 @@ impl Engine {
         self.fab
             .invalidate_overlapping(base_vpn, size.small_pages() as u64);
         self.trap
-            .poison(&mut self.pt, &mut self.tlb, self.vpid, base_vpn, size);
+            .poison(&mut self.pt, &mut self.tlb, VPID, base_vpn, size);
         self.stats.kernel_time_ns += SCAN_SHOOTDOWN_NS;
     }
 
@@ -59,7 +62,7 @@ impl Engine {
         self.fab
             .invalidate_overlapping(base_vpn, PAGES_PER_HUGE as u64);
         self.trap
-            .poison_children(&mut self.pt, &mut self.tlb, self.vpid, base_vpn);
+            .poison_children(&mut self.pt, &mut self.tlb, VPID, base_vpn);
         self.stats.kernel_time_ns += PAGES_PER_HUGE as u64 * SCAN_SHOOTDOWN_NS;
     }
 
@@ -72,7 +75,7 @@ impl Engine {
             .invalidate_overlapping(base_vpn, PAGES_PER_HUGE as u64);
         self.stats.kernel_time_ns += PAGES_PER_HUGE as u64 * SCAN_SHOOTDOWN_NS;
         self.trap
-            .unpoison_children_sum(&mut self.pt, &mut self.tlb, self.vpid, base_vpn)
+            .unpoison_children_sum(&mut self.pt, &mut self.tlb, VPID, base_vpn)
     }
 
     /// Unpoisons the leaf at `base_vpn`, returning its fault count.
@@ -85,7 +88,7 @@ impl Engine {
         self.fab.invalidate_overlapping(base_vpn, n);
         self.stats.kernel_time_ns += SCAN_SHOOTDOWN_NS;
         self.trap
-            .unpoison(&mut self.pt, &mut self.tlb, self.vpid, base_vpn)
+            .unpoison(&mut self.pt, &mut self.tlb, VPID, base_vpn)
     }
 
     /// Scans and clears Accessed bits over `[start, start + n_pages)`,
@@ -96,7 +99,7 @@ impl Engine {
         n_pages: u64,
         out: &mut Vec<ScanHit>,
     ) -> ScanCost {
-        let cost = scan_and_clear(&mut self.pt, &mut self.tlb, self.vpid, start, n_pages, out);
+        let cost = scan_and_clear(&mut self.pt, &mut self.tlb, VPID, start, n_pages, out);
         self.stats.kernel_time_ns += cost.time_ns(SCAN_VISIT_NS, SCAN_SHOOTDOWN_NS);
         cost
     }
@@ -116,7 +119,7 @@ impl Engine {
     /// total equals a fused [`scan_and_clear_accessed`](Self::scan_and_clear_accessed)
     /// over the same range.
     pub fn clear_accessed_set(&mut self, pages: &[(Vpn, PageSize)]) -> ScanCost {
-        let cost = thermo_vm::clear_accessed_set(&mut self.pt, &mut self.tlb, self.vpid, pages);
+        let cost = thermo_vm::clear_accessed_set(&mut self.pt, &mut self.tlb, VPID, pages);
         self.stats.kernel_time_ns += cost.time_ns(SCAN_VISIT_NS, SCAN_SHOOTDOWN_NS);
         cost
     }
@@ -137,6 +140,30 @@ impl Engine {
         assert_eq!(m.base_vpn, base_vpn, "migrate must target the leaf base");
         self.fab
             .invalidate_overlapping(base_vpn, m.size.small_pages() as u64);
+        let shadowed = self.remap_leaf(m, target, true)?;
+        self.stats.kernel_time_ns += if shadowed {
+            FABRIC_REMAP_NS
+        } else {
+            self.mig.record(target, m.size)
+        };
+        Ok(())
+    }
+
+    /// Moves the leaf `m` onto a fresh frame in `target`: allocates it,
+    /// drops the old frame's LLC lines, frees the old frame, repoints the
+    /// PTE and shoots down the stale translation. Charges nothing.
+    ///
+    /// With `shadow`, a promotion first consumes the fabric shadow of the
+    /// page, if any; returns whether it did. Such a fast-tier copy, left by
+    /// a recent fabric demotion and still intact, makes the move a pure
+    /// remap with no bulk transfer.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::AlreadyInTier`] if the page already lives in `target`,
+    /// [`MemError::OutOfMemory`] if `target` is full or a promotion would
+    /// exceed the capacity grant.
+    fn remap_leaf(&mut self, m: Mapping, target: Tier, shadow: bool) -> Result<bool, MemError> {
         let old = m.pte.pfn();
         let cur = self.mem.tier_of(old);
         if cur == target {
@@ -154,25 +181,13 @@ impl Engine {
                 size: m.size,
             });
         }
-        if target == Tier::Fast && self.fab.take_shadow(base_vpn, m.size) {
-            // The fast-tier copy left by a recent fabric demotion is still
-            // intact: re-promotion is a pure remap, no bulk transfer.
-            let new = self.mem.alloc(target, m.size)?;
-            self.llc.invalidate_frames(old, m.size.small_pages() as u64);
-            self.mem.free(cur, old, m.size);
-            self.pt.with_pte_mut(base_vpn, |pte| pte.set_pfn(new));
-            self.tlb.shootdown(base_vpn, m.size, self.vpid);
-            self.stats.kernel_time_ns += self.config.fabric.per_page_overhead_ns;
-            return Ok(());
-        }
+        let shadowed = shadow && target == Tier::Fast && self.fab.take_shadow(m.base_vpn, m.size);
         let new = self.mem.alloc(target, m.size)?;
         self.llc.invalidate_frames(old, m.size.small_pages() as u64);
         self.mem.free(cur, old, m.size);
-        self.pt.with_pte_mut(base_vpn, |pte| pte.set_pfn(new));
-        self.tlb.shootdown(base_vpn, m.size, self.vpid);
-        let cost = self.mig.record(target, m.size, self.clock.now_ns());
-        self.stats.kernel_time_ns += cost;
-        Ok(())
+        self.pt.with_pte_mut(m.base_vpn, |pte| pte.set_pfn(new));
+        self.tlb.shootdown(m.base_vpn, m.size, VPID);
+        Ok(shadowed)
     }
 
     /// Migrates a *split* huge page (512 4KB leaves starting at huge-aligned
@@ -238,11 +253,8 @@ impl Engine {
         for &old in &olds {
             self.mem.free(self.mem.tier_of(old), old, PageSize::Small4K);
         }
-        self.tlb.shootdown_window(base_vpn, self.vpid);
-        let cost = self
-            .mig
-            .record(target, PageSize::Huge2M, self.clock.now_ns());
-        self.stats.kernel_time_ns += cost;
+        self.tlb.shootdown_window(base_vpn, VPID);
+        self.stats.kernel_time_ns += self.mig.record(target, PageSize::Huge2M);
         Ok(())
     }
 
@@ -267,27 +279,9 @@ impl Engine {
             .expect("fabric commit on unmapped page");
         assert_eq!(m.base_vpn, base_vpn, "fabric commit must target a leaf");
         assert_eq!(m.size, size, "page changed shape with a live txn");
-        let old = m.pte.pfn();
-        let cur = self.mem.tier_of(old);
-        if cur == target {
-            return Err(MemError::AlreadyInTier {
-                pfn: old,
-                tier: cur,
-            });
-        }
-        if target == Tier::Fast && !self.fast_has_room(size.bytes() as u64) {
-            return Err(MemError::OutOfMemory {
-                tier: Tier::Fast,
-                size,
-            });
-        }
-        let new = self.mem.alloc(target, size)?;
-        self.llc.invalidate_frames(old, size.small_pages() as u64);
-        self.mem.free(cur, old, size);
-        self.pt.with_pte_mut(base_vpn, |pte| pte.set_pfn(new));
-        self.tlb.shootdown(base_vpn, size, self.vpid);
-        let _ = self.mig.record(target, size, self.clock.now_ns());
-        self.stats.kernel_time_ns += self.config.fabric.per_page_overhead_ns;
+        self.remap_leaf(m, target, false)?;
+        self.mig.record(target, size);
+        self.stats.kernel_time_ns += FABRIC_REMAP_NS;
         Ok(())
     }
 
@@ -381,7 +375,7 @@ impl Engine {
             }
             if !self.trap.is_poisoned(vpn) {
                 self.trap
-                    .poison(&mut self.pt, &mut self.tlb, self.vpid, vpn, size);
+                    .poison(&mut self.pt, &mut self.tlb, VPID, vpn, size);
                 self.stats.kernel_time_ns += SCAN_SHOOTDOWN_NS;
             }
             self.displaced.insert(vpn, size.bytes() as u64);
@@ -428,8 +422,7 @@ impl Engine {
                 continue;
             }
             if self.trap.is_poisoned(vpn) {
-                self.trap
-                    .unpoison(&mut self.pt, &mut self.tlb, self.vpid, vpn);
+                self.trap.unpoison(&mut self.pt, &mut self.tlb, VPID, vpn);
                 self.stats.kernel_time_ns += SCAN_SHOOTDOWN_NS;
             }
             self.displaced.remove(&vpn);

@@ -15,8 +15,8 @@
 //!   takes a read-only [`MemoryView`] snapshot at a period boundary
 //!   (optionally built by sharded `thermo-exec` workers off the app
 //!   thread), decides purely on that snapshot, and hands back a
-//!   [`PolicyPlan`] that [`Engine::apply_plan`] executes atomically with
-//!   the paper's virtual-time cost accounting.
+//!   [`PolicyPlan`] that [`Engine::apply_plan`] executes in program
+//!   order, atomically, with the paper's virtual-time cost accounting.
 //!
 //! Everything is deterministic: no host randomness, and the only threads
 //! are the scoped read-only snapshot workers whose shard boundaries and
@@ -49,6 +49,21 @@ use thermo_vm::{Mapping, PageTable, Tlb, TlbOutcome, TlbStats, Vpid};
 /// Kernel-time cost of one huge-page split or collapse (page-table surgery
 /// plus shootdown), ns.
 pub(crate) const THP_SURGERY_NS: u64 = 5_000;
+/// Minor-fault (demand paging) cost of a 4KB page, ns.
+const MINOR_FAULT_SMALL_NS: u64 = 2_000;
+/// Minor-fault cost of a 2MB THP allocation (includes zeroing), ns.
+const MINOR_FAULT_HUGE_NS: u64 = 40_000;
+/// Extra latency an LLC miss pays while a fabric link is copying: the
+/// app-visible contention cost of migration traffic, ns.
+const CONTENTION_PENALTY_NS: u64 = 60;
+/// Kernel-time cost of remapping one page whose copy needs no bulk
+/// transfer (a fabric commit or a shadow re-promotion): PTE update plus
+/// shootdown, ns.
+pub(crate) const FABRIC_REMAP_NS: u64 = 5_000;
+/// Bucket width of the slow-tier access-rate series (Figure 3), ns.
+const SERIES_BUCKET_NS: u64 = 1_000_000_000;
+/// VPID of the single simulated guest.
+pub(crate) const VPID: Vpid = Vpid(1);
 /// Kernel-time cost per PTE visited during an A-bit scan, ns.
 pub(crate) const SCAN_VISIT_NS: u64 = 50;
 /// Kernel-time cost per TLB shootdown during an A-bit scan, ns.
@@ -99,19 +114,14 @@ impl FootprintBreakdown {
     }
 }
 
-/// Per-epoch accumulator for the access pipeline's hot charges.
+/// Accumulator for the access pipeline's hot charges.
 ///
 /// `Engine::access` runs millions of times per simulated second; instead of
 /// scattering its tier/LLC counter updates across the full [`EngineStats`]
-/// struct it charges this small, cache-hot block, which is folded into the
-/// durable stats at deterministic epoch boundaries ([`Engine::flush_epoch`]:
-/// the periodic TLB-flush event and every policy-plan application) and
-/// merged on read by [`Engine::stats`]. Because every field is a pure sum
-/// and readers always see `stats + epoch`, flush timing is unobservable —
-/// totals are identical no matter when (or whether) a flush happens between
-/// two reads.
+/// struct it charges this small, cache-hot block, which only
+/// [`Engine::stats`] merges in.
 #[derive(Debug, Clone, Copy, Default)]
-struct EpochCharges {
+struct AccessCharges {
     accesses: u64,
     writes: u64,
     llc_hits: u64,
@@ -121,7 +131,7 @@ struct EpochCharges {
     app_time_ns: u64,
 }
 
-impl EpochCharges {
+impl AccessCharges {
     #[inline]
     fn fold_into(&self, stats: &mut EngineStats) {
         stats.accesses += self.accesses;
@@ -147,13 +157,12 @@ pub struct Engine {
     pub(crate) fab: Fabric,
     pub(crate) process: Process,
     pub(crate) stats: EngineStats,
-    epoch: EpochCharges,
+    hot: AccessCharges,
     /// Slow-tier access events per time bucket (Figure 3).
     pub(crate) slow_series: RateSeries,
     /// Exact per-4KB-page access counts (Figure 2 ground truth), when
     /// enabled.
     pub(crate) true_access: BTreeMap<Vpn, u64>,
-    pub(crate) vpid: Vpid,
     pub(crate) next_tlb_flush_ns: u64,
     /// Soft cap on fast-tier bytes this engine may hold (`None` = whole
     /// tier, the legacy single-tenant behavior). Set by the capacity
@@ -190,7 +199,7 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("now_ns", &self.clock.now_ns())
-            .field("stats", &self.stats)
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -209,10 +218,9 @@ impl Engine {
             fab: Fabric::new(config.fabric),
             process: Process::new(),
             stats: EngineStats::default(),
-            epoch: EpochCharges::default(),
-            slow_series: RateSeries::new(config.series_bucket_ns),
+            hot: AccessCharges::default(),
+            slow_series: RateSeries::new(SERIES_BUCKET_NS),
             true_access: BTreeMap::new(),
-            vpid: config.vpid,
             next_tlb_flush_ns: config.tlb_flush_period_ns.unwrap_or(u64::MAX),
             fast_cap_bytes: None,
             displaced: BTreeMap::new(),
@@ -247,19 +255,16 @@ impl Engine {
     /// in the workload generator).
     pub fn access(&mut self, va: VirtAddr, write: bool) -> u64 {
         let vpn = va.vpn();
-        self.epoch.accesses += 1;
+        self.hot.accesses += 1;
         if write {
-            self.epoch.writes += 1;
+            self.hot.writes += 1;
         }
         if self.config.track_true_access {
             *self.true_access.entry(vpn).or_insert(0) += 1;
         }
 
         if self.clock.now_ns() >= self.next_tlb_flush_ns {
-            // OS noise: timer tick / context switch flushes the TLB. This
-            // is also a deterministic epoch boundary, so fold the hot
-            // accumulator into the durable stats here.
-            self.flush_epoch();
+            // OS noise: timer tick / context switch flushes the TLB.
             self.tlb.flush_all();
             let period = self
                 .config
@@ -269,7 +274,7 @@ impl Engine {
         }
 
         let mut lat = 0u64;
-        let (base_pfn, size) = match self.tlb.lookup(vpn, self.vpid) {
+        let (base_pfn, size) = match self.tlb.lookup(vpn, VPID) {
             TlbOutcome::HitL1 { pfn, size } => (pfn, size),
             TlbOutcome::HitL2 { pfn, size } => {
                 lat += self.config.tlb.l2_hit_ns;
@@ -289,14 +294,14 @@ impl Engine {
         }
 
         if self.llc.access(pa.cache_line()) {
-            self.epoch.llc_hits += 1;
+            self.hot.llc_hits += 1;
             lat += self.llc.hit_ns();
         } else {
-            self.epoch.llc_misses += 1;
+            self.hot.llc_misses += 1;
             if self.fab.busy() {
                 // Migration traffic contends with demand misses for the
                 // channel.
-                lat += self.config.fabric.contention_penalty_ns;
+                lat += CONTENTION_PENALTY_NS;
                 self.fab.note_contended_miss();
             }
             let tier = self.mem.tier_of(pfn4k);
@@ -308,9 +313,9 @@ impl Engine {
             };
             lat += mem_ns;
             match tier {
-                Tier::Fast => self.epoch.fast_tier_accesses += 1,
+                Tier::Fast => self.hot.fast_tier_accesses += 1,
                 Tier::Slow => {
-                    self.epoch.slow_tier_accesses += 1;
+                    self.hot.slow_tier_accesses += 1;
                     if self.config.cold_model == ColdAccessModel::Direct {
                         self.slow_series.record(self.clock.now_ns(), 1);
                     }
@@ -322,7 +327,7 @@ impl Engine {
         }
 
         self.clock.advance(lat);
-        self.epoch.app_time_ns += lat;
+        self.hot.app_time_ns += lat;
         if self.fab.busy() {
             self.fab.tick(self.clock.now_ns());
         }
@@ -332,7 +337,7 @@ impl Engine {
     /// Charges pure compute time to the application.
     pub fn advance_compute(&mut self, ns: u64) {
         self.clock.advance(ns);
-        self.epoch.app_time_ns += ns;
+        self.hot.app_time_ns += ns;
         if self.fab.busy() {
             self.fab.tick(self.clock.now_ns());
         }
@@ -370,7 +375,7 @@ impl Engine {
         // pages, so repeated accesses only fault again after a TLB eviction
         // or shootdown.
         self.tlb
-            .insert(mapping.base_vpn, mapping.pte.pfn(), mapping.size, self.vpid);
+            .insert(mapping.base_vpn, mapping.pte.pfn(), mapping.size, VPID);
         (mapping.pte.pfn(), mapping.size)
     }
 
@@ -393,7 +398,7 @@ impl Engine {
                 self.pt
                     .map_huge(huge_base.vpn(), frame, writable)
                     .expect("demand-paged huge window must be unmapped");
-                *lat += self.config.minor_fault_huge_ns;
+                *lat += MINOR_FAULT_HUGE_NS;
                 self.stats.minor_faults_huge += 1;
                 return self.pt.lookup(vpn).expect("just mapped");
             }
@@ -403,7 +408,7 @@ impl Engine {
                 self.pt
                     .map_small(vpn, frame, writable)
                     .expect("demand-paged page must be unmapped");
-                *lat += self.config.minor_fault_small_ns;
+                *lat += MINOR_FAULT_SMALL_NS;
                 self.stats.minor_faults_small += 1;
                 return self.pt.lookup(vpn).expect("just mapped");
             }
@@ -420,16 +425,11 @@ impl Engine {
         self.pt
             .map_small(vpn, frame, writable)
             .expect("demand-paged page must be unmapped");
-        self.trap.poison(
-            &mut self.pt,
-            &mut self.tlb,
-            self.vpid,
-            vpn,
-            PageSize::Small4K,
-        );
+        self.trap
+            .poison(&mut self.pt, &mut self.tlb, VPID, vpn, PageSize::Small4K);
         self.displaced.insert(vpn, PageSize::Small4K.bytes() as u64);
         self.pressure.slow_fallback_faults += 1;
-        *lat += self.config.minor_fault_small_ns;
+        *lat += MINOR_FAULT_SMALL_NS;
         self.stats.minor_faults_small += 1;
         self.pt.lookup(vpn).expect("just mapped")
     }
@@ -454,27 +454,11 @@ impl Engine {
         self.clock.now_ns()
     }
 
-    /// Engine statistics.
-    ///
-    /// Merges the in-flight epoch accumulator on read, so callers always
-    /// see exact totals regardless of when the last epoch flush happened.
+    /// Engine statistics, the access accumulator merged in.
     pub fn stats(&self) -> EngineStats {
         let mut s = self.stats;
-        self.epoch.fold_into(&mut s);
+        self.hot.fold_into(&mut s);
         s
-    }
-
-    /// Folds the per-epoch access charges into the durable statistics.
-    ///
-    /// Called at deterministic boundaries only (the periodic TLB-flush
-    /// event and every [`Engine::apply_plan`]); because [`Engine::stats`]
-    /// merges on read, flushing is observationally a no-op — it exists so
-    /// the durable struct stays near-current without the access fast path
-    /// touching all of [`EngineStats`].
-    pub fn flush_epoch(&mut self) {
-        let e = self.epoch;
-        e.fold_into(&mut self.stats);
-        self.epoch = EpochCharges::default();
     }
 
     /// TLB statistics.
@@ -542,11 +526,6 @@ impl Engine {
         &self.trap
     }
 
-    /// Mutable trap unit access (counter take/reset by the policy daemon).
-    pub fn trap_mut(&mut self) -> &mut TrapUnit {
-        &mut self.trap
-    }
-
     /// Read-only page table access.
     pub fn page_table(&self) -> &PageTable {
         &self.pt
@@ -593,15 +572,6 @@ impl Engine {
     /// capacity and not yet promoted back.
     pub fn displaced_bytes(&self) -> u64 {
         self.displaced.values().sum()
-    }
-
-    /// Drains the migration fabric on the virtual clock while the app is
-    /// between ops (the co-scheduled fabric-pump component's hook; the
-    /// sharded path ticks inline from `access`/`advance_compute`).
-    pub fn pump_fabric(&mut self) {
-        if self.fab.busy() {
-            self.fab.tick(self.clock.now_ns());
-        }
     }
 
     /// Physical memory (wear statistics etc.).

@@ -179,48 +179,6 @@ pub enum OpOutcome {
     AbortedTxn,
 }
 
-impl PlanOp {
-    /// The 2MB-aligned window (`vpn >> 9`) this op touches, when its
-    /// effects are provably confined to that window: no fabric transaction
-    /// (transaction ids are allocated in program order) and no dependence
-    /// on global tier occupancy (migrations can hit OOM, whose outcome
-    /// depends on how much earlier ops moved). Returns `None` for
-    /// everything else — those ops are ordered barriers.
-    ///
-    /// Ops with distinct local windows **charge-commute**: applying them in
-    /// any order yields identical engine state, identical per-op outcomes,
-    /// and identical kernel-time charges, because each one reads and writes
-    /// only its own window's PTEs/TLB entries/trap counters and all shared
-    /// charges are pure sums. [`Engine::apply_plan`] exploits this to batch
-    /// maximal barrier-free runs window-by-window, and sharded policy
-    /// builders may emit their window groups in any completion order
-    /// without perturbing artifacts.
-    pub fn local_window(&self) -> Option<u64> {
-        match self {
-            PlanOp::ConsolidateCold { vpn }
-            | PlanOp::SplitSample { vpn }
-            | PlanOp::TakeCounts { vpn, .. }
-            | PlanOp::Collapse { vpn }
-            | PlanOp::Poison { vpn, .. } => Some(vpn.0 >> 9),
-            PlanOp::UnpoisonSum { vpns } => {
-                // Page-local only when every leaf shares one window.
-                let w = vpns.first()?.0 >> 9;
-                vpns.iter().all(|v| v.0 >> 9 == w).then_some(w)
-            }
-            PlanOp::PromoteChild { .. }
-            | PlanOp::PromoteHuge { .. }
-            | PlanOp::DemoteHuge { .. }
-            | PlanOp::SplitPlace { .. }
-            | PlanOp::DemoteWholeHuge { .. }
-            | PlanOp::PromoteWholeHuge { .. }
-            | PlanOp::BeginMigrate { .. }
-            | PlanOp::CommitMigrate { .. }
-            | PlanOp::AbortMigrate { .. }
-            | PlanOp::ClearAccessed { .. } => None,
-        }
-    }
-}
-
 /// An ordered list of mechanism ops a policy hands back to the engine.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PolicyPlan {
@@ -297,8 +255,8 @@ impl PlanReceipt {
 }
 
 impl Engine {
-    /// Executes `plan` op by op, atomically with respect to the
-    /// application, and returns one [`OpOutcome`] per op.
+    /// Executes `plan` op by op in program order, atomically with respect
+    /// to the application, and returns one [`OpOutcome`] per op.
     ///
     /// # Panics
     ///
@@ -308,47 +266,15 @@ impl Engine {
     /// Resource exhaustion (a full tier) is *not* a panic — it resolves to
     /// the op's documented fallback outcome.
     pub fn apply_plan(&mut self, plan: &PolicyPlan) -> PlanReceipt {
-        // A plan application is a policy-tick boundary: fold the hot
-        // access-epoch accumulator so kernel-side charges land on a fully
-        // merged baseline.
-        self.flush_epoch();
         let kernel_before = self.stats.kernel_time_ns;
-        let ops = plan.ops();
-        let mut outcomes: Vec<Option<OpOutcome>> = vec![None; ops.len()];
         let mut scratch: Vec<ScanHit> = Vec::new();
-        let mut order: Vec<usize> = Vec::new();
-        let mut i = 0;
-        while i < ops.len() {
-            let Some(_) = ops[i].local_window() else {
-                // Barrier op (fabric / occupancy-dependent): strict order.
-                outcomes[i] = Some(self.apply_op(&ops[i], &mut scratch));
-                i += 1;
-                continue;
-            };
-            // Maximal barrier-free run of page-local ops. Batch it window
-            // by ascending window, keeping program order within a window
-            // (same-window ops need not commute with each other). Distinct
-            // windows charge-commute — see [`PlanOp::local_window`] — so
-            // this canonical order is observationally identical to program
-            // order while giving each window one contiguous burst of
-            // page-table and TLB locality.
-            let mut j = i;
-            while j < ops.len() && ops[j].local_window().is_some() {
-                j += 1;
-            }
-            order.clear();
-            order.extend(i..j);
-            order.sort_by_key(|&k| (ops[k].local_window().expect("run is local"), k));
-            for &k in &order {
-                outcomes[k] = Some(self.apply_op(&ops[k], &mut scratch));
-            }
-            i = j;
-        }
+        let outcomes = plan
+            .ops()
+            .iter()
+            .map(|op| self.apply_op(op, &mut scratch))
+            .collect();
         PlanReceipt {
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| o.expect("every op applied"))
-                .collect(),
+            outcomes,
             kernel_time_ns: self.stats.kernel_time_ns - kernel_before,
         }
     }

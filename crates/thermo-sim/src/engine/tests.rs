@@ -558,118 +558,3 @@ fn apply_plan_split_place_moves_only_requested_children() {
     assert_eq!(e.tier_of_vpn(hvpn.offset(300)), Some(Tier::Slow));
     assert!(e.trap().is_poisoned(hvpn.offset(300)));
 }
-
-#[test]
-fn page_local_plan_ops_charge_commute_across_windows() {
-    // The commutativity contract behind `apply_plan`'s window batching:
-    // page-local ops on distinct 2MB windows may be applied in any order
-    // with identical outcomes, charges, and machine state.
-    let build = || {
-        let mut e = small_engine();
-        let base = e.mmap(8 << 20, true, true, false, "heap");
-        for w in 0..4u64 {
-            e.access(base + w * (2 << 20), false); // fault in 4 THPs
-        }
-        (e, base)
-    };
-    let ops = |base: VirtAddr| {
-        vec![
-            PlanOp::SplitSample { vpn: base.vpn() },
-            PlanOp::Poison {
-                vpn: base.vpn().offset(512),
-                size: PageSize::Huge2M,
-            },
-            PlanOp::SplitSample {
-                vpn: base.vpn().offset(1024),
-            },
-            PlanOp::Poison {
-                vpn: base.vpn().offset(1536),
-                size: PageSize::Huge2M,
-            },
-        ]
-    };
-
-    let (mut fwd, base_f) = build();
-    let (mut rev, base_r) = build();
-    assert_eq!(base_f, base_r);
-
-    let mut plan_f = PolicyPlan::new();
-    let mut plan_r = PolicyPlan::new();
-    let mut fwd_ops = ops(base_f);
-    for op in &fwd_ops {
-        assert!(op.local_window().is_some(), "test ops must be page-local");
-    }
-    for op in fwd_ops.clone() {
-        plan_f.push(op);
-    }
-    fwd_ops.reverse();
-    for op in fwd_ops {
-        plan_r.push(op);
-    }
-
-    let r_f = fwd.apply_plan(&plan_f);
-    let r_r = rev.apply_plan(&plan_r);
-    let mut rev_outcomes = r_r.outcomes().to_vec();
-    rev_outcomes.reverse();
-    assert_eq!(r_f.outcomes(), &rev_outcomes[..]);
-    assert_eq!(r_f.kernel_time_ns(), r_r.kernel_time_ns());
-    assert_eq!(fwd.stats(), rev.stats());
-    assert_eq!(fwd.trap_stats(), rev.trap_stats());
-    assert_eq!(fwd.footprint_breakdown(), rev.footprint_breakdown());
-
-    // Same poisoned state, same counters, after faulting both identically.
-    for e in [&mut fwd, &mut rev] {
-        e.access(base_f + 512 * 4096 + 7, false);
-        e.access(base_f + 1536 * 4096 + 9, true);
-    }
-    let mut plan2 = PolicyPlan::new();
-    plan2.push(PlanOp::TakeCounts {
-        vpn: base_f.vpn().offset(512),
-        split: false,
-    });
-    plan2.push(PlanOp::TakeCounts {
-        vpn: base_f.vpn().offset(1536),
-        split: false,
-    });
-    assert_eq!(
-        fwd.apply_plan(&plan2).outcomes(),
-        rev.apply_plan(&plan2).outcomes()
-    );
-    assert_eq!(fwd.stats(), rev.stats());
-}
-
-#[test]
-fn local_window_classification() {
-    // Fabric and occupancy-dependent ops are barriers; pure PTE/counter
-    // surgery is page-local; multi-page unpoison is local only when all
-    // leaves share one window.
-    assert!(PlanOp::SplitSample { vpn: Vpn(512) }.local_window() == Some(1));
-    assert!(PlanOp::Collapse { vpn: Vpn(1024) }.local_window() == Some(2));
-    assert!(
-        PlanOp::UnpoisonSum {
-            vpns: vec![Vpn(512), Vpn(513)]
-        }
-        .local_window()
-            == Some(1)
-    );
-    assert!(PlanOp::UnpoisonSum {
-        vpns: vec![Vpn(512), Vpn(1024)]
-    }
-    .local_window()
-    .is_none());
-    assert!(PlanOp::UnpoisonSum { vpns: vec![] }
-        .local_window()
-        .is_none());
-    assert!(PlanOp::DemoteHuge { vpn: Vpn(512) }
-        .local_window()
-        .is_none());
-    assert!(PlanOp::BeginMigrate {
-        vpn: Vpn(512),
-        target: Tier::Slow
-    }
-    .local_window()
-    .is_none());
-    assert!(PlanOp::ClearAccessed { pages: vec![] }
-        .local_window()
-        .is_none());
-}

@@ -56,17 +56,12 @@ pub struct FabricConfig {
     pub enabled: bool,
     /// Per-link copy bandwidth, bytes per second of virtual time.
     pub link_bandwidth_bytes_per_sec: u64,
-    /// Fixed per-page kernel overhead charged at commit (remap, shootdown).
-    pub per_page_overhead_ns: u64,
     /// Write-aborts tolerated before a transaction fails permanently.
     pub max_retries: u32,
     /// Base of the exponential retry backoff, ns.
     pub backoff_base_ns: u64,
     /// Shadow directory capacity (pages); oldest entries are evicted FIFO.
     pub shadow_capacity: u64,
-    /// Extra latency an LLC miss pays while any link is actively copying —
-    /// the app-visible contention cost of migration traffic.
-    pub contention_penalty_ns: u64,
 }
 
 impl Default for FabricConfig {
@@ -74,11 +69,9 @@ impl Default for FabricConfig {
         Self {
             enabled: false,
             link_bandwidth_bytes_per_sec: 2_000_000_000,
-            per_page_overhead_ns: 5_000,
             max_retries: 3,
             backoff_base_ns: 200_000,
             shadow_capacity: 64,
-            contention_penalty_ns: 60,
         }
     }
 }
@@ -86,11 +79,9 @@ impl Default for FabricConfig {
 thermo_util::json_struct!(FabricConfig {
     enabled,
     link_bandwidth_bytes_per_sec,
-    per_page_overhead_ns,
     max_retries,
     backoff_base_ns,
     shadow_capacity,
-    contention_penalty_ns,
 });
 
 /// Where a transaction is in its life cycle.

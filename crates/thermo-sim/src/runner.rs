@@ -9,7 +9,9 @@
 //! [`run_ops`] and [`run_for_instrumented`] each run one on its own,
 //! [`run_tenants_sharded`] runs one per tenant on the [`thermo_exec`]
 //! pool, and [`crate::sched::run_tenants_coscheduled`] advances one per
-//! tenant, window by window between arbiter ticks (DESIGN.md §13).
+//! tenant, window by window between arbiter ticks (DESIGN.md §13). The
+//! migration fabric needs no event of its own: [`Engine::access`] and
+//! [`Engine::advance_compute`] tick a busy fabric as each op ends.
 
 use crate::arbiter::TenantReport;
 use crate::engine::Engine;
@@ -142,16 +144,13 @@ pub(crate) enum Role {
     Reporter,
     /// Fires the policy at its `next_due_ns`.
     Daemon,
-    /// Drains in-flight fabric copies during compute gaps (shared pool
-    /// with the fabric on).
-    Pump,
     /// One application op; last at a given instant.
     App,
 }
 
 /// One tenant's virtual timeline: application ops, the policy and, on a
-/// shared fast-tier pool, a slowdown reporter and a fabric pump, run in
-/// `(time, class)` order with the phase priority of [`Role`].
+/// shared fast-tier pool, a slowdown reporter, run in `(time, class)`
+/// order with the phase priority of [`Role`].
 ///
 /// It borrows the engine, workload and policy it runs, and finishes at
 /// its deadline, once its op budget is spent, or when the workload ends.
@@ -173,9 +172,7 @@ pub(crate) struct Timeline<'a> {
     due_ns: u64,
     /// Next slowdown report (`u64::MAX` = never).
     report_ns: u64,
-    /// Next fabric pump (`u64::MAX` = never).
-    pump_ns: u64,
-    /// Period of both reports and pumps.
+    /// Period of the reports.
     period_ns: u64,
     /// Engine counters at the previous report.
     prev: EngineStats,
@@ -191,7 +188,7 @@ pub(crate) struct Timeline<'a> {
 impl<'a> Timeline<'a> {
     /// A timeline from the engine's current time that finishes after
     /// `duration_ns` or `op_budget` ops, whichever comes first. It has no
-    /// reporter and no pump.
+    /// reporter.
     pub(crate) fn new(
         engine: &'a mut Engine,
         workload: &'a mut dyn Workload,
@@ -211,7 +208,6 @@ impl<'a> Timeline<'a> {
             ops: 0,
             due_ns: policy.next_due_ns(),
             report_ns: u64::MAX,
-            pump_ns: u64::MAX,
             period_ns: 0,
             prev: EngineStats::default(),
             report: None,
@@ -226,15 +222,10 @@ impl<'a> Timeline<'a> {
     }
 
     /// Adds the shared-pool reporter, every `sched.report_period_ns` of the
-    /// engine's config, and with the fabric on a pump on the same period;
-    /// both first fire one period after the start.
+    /// engine's config from one period after the start.
     pub(crate) fn with_reports(mut self) -> Self {
-        let cfg = self.engine.config();
-        self.period_ns = cfg.sched.report_period_ns;
+        self.period_ns = self.engine.config().sched.report_period_ns;
         self.report_ns = self.start_ns + self.period_ns;
-        if cfg.fabric.enabled {
-            self.pump_ns = self.report_ns;
-        }
         self.prev = self.engine.stats();
         self
     }
@@ -249,7 +240,7 @@ impl<'a> Timeline<'a> {
     /// one is at or after `horizon`, or the timeline finishes.
     pub(crate) fn advance(&mut self, horizon: u64) {
         while self.live {
-            let periodic = self.report_ns.min(self.due_ns).min(self.pump_ns);
+            let periodic = self.report_ns.min(self.due_ns);
             // The app's event `(now, APP)` precedes every periodic event
             // `(t, class < APP)` exactly while `now < t`.
             self.running = Role::App;
@@ -265,7 +256,7 @@ impl<'a> Timeline<'a> {
             if self.report_ns == periodic {
                 self.running = Role::Reporter;
                 self.post_report();
-            } else if self.due_ns == periodic {
+            } else {
                 self.running = Role::Daemon;
                 if self.finished() {
                     self.due_ns = u64::MAX;
@@ -273,10 +264,6 @@ impl<'a> Timeline<'a> {
                     self.policy.tick(self.engine);
                     self.due_ns = self.policy.next_due_ns();
                 }
-            } else {
-                self.running = Role::Pump;
-                self.engine.pump_fabric();
-                self.pump_ns += self.period_ns;
             }
         }
     }

@@ -1,14 +1,15 @@
 //! The co-scheduled multi-tenant engine (DESIGN.md §13).
 //!
 //! Every tenant runs on its own timeline, the one op loop of
-//! [`crate::runner`]: one engine plus the four kinds of events that act
-//! on it — slowdown reporter, policy daemon, migration-fabric pump and
-//! application op — executed in `(time, class)` order with the fixed
-//! phase priority reporter < daemon < pump < app. Tenants share state
-//! only through the fast-tier [`Arbiter`], whose ticks split virtual time
-//! into windows: [`run_tenants_coscheduled`] advances every live tenant
-//! through the window up to (excluding) the next arbiter tick `S`,
-//! applies the arbiter at `S`, and repeats.
+//! [`crate::runner`]: one engine plus the three kinds of events that act
+//! on it — slowdown reporter, policy daemon and application op —
+//! executed in `(time, class)` order with the fixed phase priority
+//! reporter < daemon < app. The migration fabric needs no event of its
+//! own: every app op ticks a busy fabric at the instant it ends. Tenants
+//! share state only through the fast-tier [`Arbiter`], whose ticks split
+//! virtual time into windows: [`run_tenants_coscheduled`] advances every
+//! live tenant through the window up to (excluding) the next arbiter tick
+//! `S`, applies the arbiter at `S`, and repeats.
 //!
 //! This is exactly one global event order keyed `(time, class,
 //! component_id)` with the arbiter in class 0: the arbiter runs after
@@ -18,7 +19,7 @@
 //! Two properties are load-bearing and tested:
 //!
 //! * **Charge-neutrality** — with arbitration off there is one unbounded
-//!   window, no reporter and no pump, so each tenant's timeline runs
+//!   window and no reporter, so each tenant's timeline runs
 //!   exactly as [`crate::runner::run_for`] runs it
 //!   (`thermo-bench/tests/sched_equivalence.rs`).
 //! * **Order-independence within a window** — tenants own disjoint
@@ -46,8 +47,7 @@ pub const GROUP_GLOBAL: u32 = u32::MAX;
 /// (the poisoned tenant stops, every other tenant runs to completion)
 /// and the **lowest** panicking component id is reported. Component ids
 /// count in registration order: per tenant its daemon, reporter (shared
-/// mode), fabric pump (shared mode with the fabric on) and app, then the
-/// arbiter last.
+/// mode) and app, then the arbiter last.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SchedError {
     /// A component's event panicked.
@@ -111,9 +111,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// sharded path runs and all pre-existing goldens are byte-identical.
 ///
 /// Pool-global fields (`shared_pool_bytes`, `rebalance_period_ns`,
-/// `grant_quantum_bytes`, `max_defer_rounds`) are read from **tenant
-/// 0's** config; per-tenant fields (`initial_grant_bytes`, `slo_pct`,
-/// `report_period_ns`) from each tenant's own.
+/// `grant_quantum_bytes`) are read from **tenant 0's** config; per-tenant
+/// fields (`initial_grant_bytes`, `slo_pct`, `report_period_ns`) from each
+/// tenant's own. The deferral bound is [`ArbiterConfig::default`]'s.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedConfig {
     /// Route `run_tenants_sharded` through [`run_tenants_coscheduled`].
@@ -131,8 +131,6 @@ pub struct SchedConfig {
     pub rebalance_period_ns: u64,
     /// Bytes moved per grant decision.
     pub grant_quantum_bytes: u64,
-    /// Rebalance rounds a grant may be deferred for fabric congestion.
-    pub max_defer_rounds: u32,
 }
 
 impl Default for SchedConfig {
@@ -145,7 +143,6 @@ impl Default for SchedConfig {
             report_period_ns: 50_000_000,
             rebalance_period_ns: 100_000_000,
             grant_quantum_bytes: 8 << 20,
-            max_defer_rounds: 3,
         }
     }
 }
@@ -175,7 +172,6 @@ thermo_util::json_struct!(SchedConfig {
     report_period_ns,
     rebalance_period_ns,
     grant_quantum_bytes,
-    max_defer_rounds,
 });
 
 /// Id and label of the component `tl` (tenant `tenant`, whose daemon and
@@ -184,7 +180,6 @@ fn running_component(tl: &Timeline, tenant: u32, (daemon_id, app_id): (u32, u32)
     match tl.running {
         Role::Daemon => (daemon_id, format!("daemon:{}", tl.policy.policy_name())),
         Role::Reporter => (daemon_id + 1, format!("reporter:{tenant}")),
-        Role::Pump => (app_id - 1, "fabric-pump".into()),
         Role::App => (app_id, format!("app:{}", tl.workload.name())),
     }
 }
@@ -306,15 +301,14 @@ where
                     Arbiter::new(ArbiterConfig {
                         pool_bytes: pool.shared_pool_bytes,
                         grant_quantum_bytes: pool.grant_quantum_bytes,
-                        max_defer_rounds: pool.max_defer_rounds,
+                        ..ArbiterConfig::default()
                     })
                 })
                 .register(t as u32, sched_cfg.initial_grant_bytes, sched_cfg.slo_pct);
         }
         tenant.init();
-        let pumped = shared && tenant.engine.config().fabric.enabled;
         let daemon_id = next_id;
-        next_id += 2 + u32::from(shared) + u32::from(pumped);
+        next_id += 2 + u32::from(shared);
         ids.push((daemon_id, next_id - 1));
         tenants.push(tenant);
     }

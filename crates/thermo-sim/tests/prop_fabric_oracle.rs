@@ -451,7 +451,6 @@ fn fabric_matches_naive_reference() {
             max_retries: 2,
             backoff_base_ns: 2_000,
             shadow_capacity,
-            ..FabricConfig::default()
         };
         let mut fab = Fabric::new(cfg);
         let mut oracle = RefFabric::new(cfg);

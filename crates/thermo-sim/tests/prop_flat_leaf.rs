@@ -1,13 +1,15 @@
 //! Property test for the flat-leaf translation path: after any random
-//! sequence of plan ops (applied through `Engine::apply_plan`, so the
-//! charge-commutative window batching is on the tested path), the flat
+//! sequence of plan ops (applied through `Engine::apply_plan`), the flat
 //! leaf array must remain coherent — the linear enumeration
 //! (`for_each_leaf`, what `MemoryView` shards read), the per-page walk
 //! (`lookup`, what `Engine::access` resolves through), the leaf
 //! counters, and a shadow model of the Thermostat page lifecycle must
-//! all agree, and the structural generation stamp must move exactly
-//! when translations change (split/collapse), never on flag- or
-//! frame-level updates (poison, clear-A, migration).
+//! all agree.
+//!
+//! The ops between two accesses form one plan. A twin engine applies
+//! each plan as one-op plans instead: `apply_plan` runs ops in program
+//! order, so outcomes, summed kernel time, engine and trap counters and
+//! the footprint must all match the whole-plan engine.
 
 use thermo_mem::{PageSize, VirtAddr, Vpn, PAGES_PER_HUGE};
 use thermo_sim::{Engine, PlanOp, PolicyPlan, SimConfig};
@@ -143,45 +145,70 @@ fn check_coherence(engine: &Engine, base: VirtAddr, shadow: &[St; N_HUGE as usiz
     }
 }
 
+/// Applies `plan` whole to `engine` and op by op to `twin`, and checks
+/// that both tell the same story.
+fn apply_both(engine: &mut Engine, twin: &mut Engine, plan: &PolicyPlan) {
+    let receipt = engine.apply_plan(plan);
+    assert_eq!(receipt.outcomes().len(), plan.len());
+    let mut outcomes = Vec::new();
+    let mut kernel_time_ns = 0;
+    for op in plan.ops() {
+        let mut single = PolicyPlan::new();
+        single.push(op.clone());
+        let r = twin.apply_plan(&single);
+        outcomes.extend_from_slice(r.outcomes());
+        kernel_time_ns += r.kernel_time_ns();
+    }
+    assert_eq!(receipt.outcomes(), &outcomes[..], "plan {plan:?}");
+    assert_eq!(receipt.kernel_time_ns(), kernel_time_ns, "plan {plan:?}");
+    assert_eq!(engine.stats(), twin.stats());
+    assert_eq!(engine.trap_stats(), twin.trap_stats());
+    assert_eq!(engine.footprint_breakdown(), twin.footprint_breakdown());
+}
+
 #[test]
 fn flat_leaves_stay_coherent_under_plan_ops() {
     forall!(cases = 24, (ops in vec_of(op_strategy(), 1..200)) => {
         // Equal, roomy tiers: migrations never hit OOM, so every op takes
         // its documented main path and the shadow stays exact.
-        let mut engine = Engine::new(SimConfig::paper_defaults(64 << 20, 64 << 20));
-        let base = engine.mmap(N_HUGE * (2 << 20), true, true, false, "heap");
-        for p in 0..N_HUGE {
-            engine.access(base + p * (2 << 20), true);
-        }
+        let fresh = || {
+            let mut engine = Engine::new(SimConfig::paper_defaults(64 << 20, 64 << 20));
+            let base = engine.mmap(N_HUGE * (2 << 20), true, true, false, "heap");
+            for p in 0..N_HUGE {
+                engine.access(base + p * (2 << 20), true);
+            }
+            (engine, base)
+        };
+        let (mut engine, base) = fresh();
+        let (mut twin, _) = fresh();
         let mut shadow = [St::Huge; N_HUGE as usize];
+        // Ops are filtered to structurally legal ones against the shadow,
+        // which already holds every earlier op of the pending plan
+        // (apply_plan documents structural misuse as a policy bug / panic).
+        let mut plan = PolicyPlan::new();
 
         for op in ops {
-            // Ops are filtered to structurally legal ones (apply_plan
-            // documents structural misuse as a policy bug / panic); the
-            // plan still goes through the full window-batching path.
-            let mut plan = PolicyPlan::new();
-            // `true` when the op splits or collapses — the only
-            // translation changes — so the generation stamp must move;
-            // flag updates (poison/A-bits) and frame moves (migration)
-            // must leave it alone.
-            let mut structural = false;
             match op {
                 Op::Access(p, line, write) => {
+                    if !plan.is_empty() {
+                        apply_both(&mut engine, &mut twin, &plan);
+                        check_coherence(&engine, base, &shadow);
+                        plan = PolicyPlan::new();
+                    }
                     let off = (line as u64 * 64) % (2 << 20);
-                    engine.access(base + p as u64 * (2 << 20) + off, write);
+                    let va = base + p as u64 * (2 << 20) + off;
+                    assert_eq!(engine.access(va, write), twin.access(va, write));
                 }
                 Op::SplitSample(p) => {
                     if shadow[p as usize] == St::Huge {
                         plan.push(PlanOp::SplitSample { vpn: vpn(base, p as usize) });
                         shadow[p as usize] = St::Split;
-                        structural = true;
                     }
                 }
                 Op::Collapse(p) => {
                     if shadow[p as usize] == St::Split {
                         plan.push(PlanOp::Collapse { vpn: vpn(base, p as usize) });
                         shadow[p as usize] = St::Huge;
-                        structural = true;
                     }
                 }
                 Op::Demote(p) => {
@@ -194,7 +221,6 @@ fn flat_leaves_stay_coherent_under_plan_ops() {
                     if shadow[p as usize] == St::ColdSplit {
                         plan.push(PlanOp::ConsolidateCold { vpn: vpn(base, p as usize) });
                         shadow[p as usize] = St::Cold;
-                        structural = true;
                     }
                 }
                 Op::Promote(p) => match shadow[p as usize] {
@@ -204,7 +230,6 @@ fn flat_leaves_stay_coherent_under_plan_ops() {
                             split: true,
                         });
                         shadow[p as usize] = St::Huge;
-                        structural = true; // collapses on the way up
                     }
                     St::Cold => {
                         plan.push(PlanOp::PromoteHuge {
@@ -252,21 +277,8 @@ fn flat_leaves_stay_coherent_under_plan_ops() {
                     plan.push(PlanOp::ClearAccessed { pages });
                 }
             }
-            if !plan.is_empty() {
-                let gen_before = engine.page_table().generation();
-                let receipt = engine.apply_plan(&plan);
-                assert_eq!(receipt.outcomes().len(), plan.len());
-                let gen_after = engine.page_table().generation();
-                if structural {
-                    assert_ne!(gen_before, gen_after, "split/collapse must bump generation");
-                } else {
-                    assert_eq!(
-                        gen_before, gen_after,
-                        "flag/frame updates must not bump generation ({op:?})"
-                    );
-                }
-            }
-            check_coherence(&engine, base, &shadow);
         }
+        apply_both(&mut engine, &mut twin, &plan);
+        check_coherence(&engine, base, &shadow);
     });
 }

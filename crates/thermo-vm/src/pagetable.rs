@@ -17,11 +17,6 @@
 //! shape the off-thread scan pipeline (`thermo_sim::MemoryView`) reads.
 //! Walk *costs* are still charged by the simulator per radix level — the
 //! model is unchanged, only the host representation is flat.
-//!
-//! Every structural change (map/unmap/split/collapse) bumps a generation
-//! stamp, giving engine-level translation caches a cheap invalidation
-//! signal; leaf-flag updates (A/D/poison) do not change translations and
-//! leave the generation alone.
 
 use crate::pte::Pte;
 use std::error::Error;
@@ -132,9 +127,6 @@ pub struct PageTable {
     slot_base: u64,
     mapped_small: u64,
     mapped_huge: u64,
-    /// Bumped on every structural change (map/unmap/split/collapse); leaf
-    /// flag updates do not move it.
-    generation: u64,
 }
 
 impl fmt::Debug for PageTable {
@@ -160,7 +152,6 @@ impl PageTable {
             slot_base: 0,
             mapped_small: 0,
             mapped_huge: 0,
-            generation: 0,
         }
     }
 
@@ -177,13 +168,6 @@ impl PageTable {
     /// Total mapped bytes.
     pub fn mapped_bytes(&self) -> u64 {
         self.mapped_small * 4096 + self.mapped_huge * (PAGES_PER_HUGE as u64) * 4096
-    }
-
-    /// Structural-generation stamp: changes whenever a translation is
-    /// created, destroyed, split, or collapsed. Engine-level caches over
-    /// the leaf array key their validity on this.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Read access to slot `key`'s row, `None` when outside the populated
@@ -243,7 +227,6 @@ impl PageTable {
         t.entries[i1] = Pte::new(pfn, writable, false);
         t.present += 1;
         self.mapped_small += 1;
-        self.generation += 1;
         Ok(())
     }
 
@@ -265,7 +248,6 @@ impl PageTable {
         }
         *slot = Slot::Huge(Pte::new(pfn, writable, true));
         self.mapped_huge += 1;
-        self.generation += 1;
         Ok(())
     }
 
@@ -291,7 +273,6 @@ impl PageTable {
                 };
                 *slot = Slot::Empty;
                 self.mapped_huge -= 1;
-                self.generation += 1;
                 Ok(m)
             }
             Slot::Table(t) => {
@@ -309,7 +290,6 @@ impl PageTable {
                     *slot = Slot::Empty;
                 }
                 self.mapped_small -= 1;
-                self.generation += 1;
                 Ok(m)
             }
         }
@@ -432,7 +412,6 @@ impl PageTable {
         *slot = Slot::Table(t);
         self.mapped_huge -= 1;
         self.mapped_small += FANOUT as u64;
-        self.generation += 1;
         Ok(())
     }
 
@@ -501,7 +480,6 @@ impl PageTable {
         *slot = Slot::Huge(huge);
         self.mapped_small -= FANOUT as u64;
         self.mapped_huge += 1;
-        self.generation += 1;
         Ok(())
     }
 
@@ -889,36 +867,6 @@ mod tests {
             assert_eq!(fused, looked);
             assert_eq!(a.lookup(vpn), b.lookup(vpn));
         }
-    }
-
-    #[test]
-    fn generation_bumps_on_structural_ops_only() {
-        let mut pt = PageTable::new();
-        let g0 = pt.generation();
-        pt.map_small(Vpn(1), Pfn(1), true).unwrap();
-        let g1 = pt.generation();
-        assert!(g1 > g0, "map_small is structural");
-        pt.map_huge(HUGE_VPN, Pfn(1024), true).unwrap();
-        let g2 = pt.generation();
-        assert!(g2 > g1, "map_huge is structural");
-        pt.split_huge(HUGE_VPN).unwrap();
-        let g3 = pt.generation();
-        assert!(g3 > g2, "split is structural");
-        pt.collapse_huge(HUGE_VPN).unwrap();
-        let g4 = pt.generation();
-        assert!(g4 > g3, "collapse is structural");
-        pt.unmap(Vpn(1)).unwrap();
-        let g5 = pt.generation();
-        assert!(g5 > g4, "unmap is structural");
-
-        // Flag updates do not move the stamp: translations are unchanged.
-        pt.touch(Vpn(HUGE_VPN.0), true).unwrap();
-        pt.with_pte_mut(Vpn(HUGE_VPN.0), |pte| pte.poison());
-        assert_eq!(pt.generation(), g5);
-
-        // Failed structural ops leave it alone too.
-        assert!(pt.map_huge(HUGE_VPN, Pfn(2048), true).is_err());
-        assert_eq!(pt.generation(), g5);
     }
 
     #[test]

@@ -15,9 +15,7 @@ const DURATION_NS: u64 = 40_000_000_000;
 const SCALE: u64 = 64;
 
 fn run_at(slowdown_pct: f64) -> (f64, f64) {
-    let mut cfg = SimConfig::paper_defaults(512 << 20, 512 << 20);
-    cfg.vpid = thermostat_suite::vm::Vpid(1);
-    let mut engine = Engine::new(cfg);
+    let mut engine = Engine::new(SimConfig::paper_defaults(512 << 20, 512 << 20));
     let mut w = AppId::MysqlTpcc.build(AppConfig {
         scale: SCALE,
         seed: 11,

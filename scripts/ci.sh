@@ -24,27 +24,8 @@ cargo fmt --check
 # goldens/lint-baseline.json are grandfathered (visible, counted,
 # expected to reach zero); anything new fails here. The binary prints
 # per-lint counts either way.
-#
-# The linter itself fans per-file analysis through the thermo-exec pool,
-# so its report is subject to the same byte-identity discipline as the
-# experiment artifacts: run `--json` at two different worker counts and
-# byte-compare. A mismatch means findings merged in completion order
-# instead of path order — the exact bug E2 exists to catch elsewhere.
-echo "==> thermo-lint (vs goldens/lint-baseline.json, --json byte-stable across THERMO_JOBS)"
-lint_dir="target/lint-ci"
-mkdir -p "$lint_dir"
-lint_start_ns=$(date +%s%N)
+echo "==> thermo-lint (vs goldens/lint-baseline.json)"
 cargo run -q --offline -p thermo-lint -- --baseline goldens/lint-baseline.json
-THERMO_JOBS=1 cargo run -q --offline -p thermo-lint -- \
-  --baseline goldens/lint-baseline.json --json >"$lint_dir/report-j1.json"
-THERMO_JOBS=7 cargo run -q --offline -p thermo-lint -- \
-  --baseline goldens/lint-baseline.json --json >"$lint_dir/report-j7.json"
-cmp "$lint_dir/report-j1.json" "$lint_dir/report-j7.json" || {
-  echo "FAIL: thermo-lint --json differs between THERMO_JOBS=1 and THERMO_JOBS=7" >&2
-  exit 1
-}
-lint_end_ns=$(date +%s%N)
-echo "    lint wall-clock $(((lint_end_ns - lint_start_ns) / 1000000)) ms for 3 passes (gate + 2 determinism reps)"
 
 echo "==> cargo build --release --offline (all targets)"
 cargo build --release --offline --workspace --all-targets
