@@ -237,17 +237,6 @@ fn bench_dists(c: &mut Criterion) {
     });
 }
 
-fn bench_lint(c: &mut Criterion) {
-    // The whole serial walk: lex + tree + flow over every workspace source.
-    let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-    c.bench_function("lint_workspace", |b| {
-        b.iter(|| {
-            let findings = thermo_lint::lint_workspace(root).expect("workspace readable");
-            black_box(findings.len())
-        })
-    });
-}
-
 criterion_group!(
     benches,
     bench_tlb,
@@ -258,7 +247,6 @@ criterion_group!(
     bench_engine_access,
     bench_classifier,
     bench_fabric,
-    bench_dists,
-    bench_lint
+    bench_dists
 );
 criterion_main!(benches);

@@ -20,8 +20,8 @@
 //!   claim order from one shared counter (`fetch_add`) until the order
 //!   runs out, so an idle worker always takes the next unclaimed job and
 //!   a slow job never holds up the rest. Every job in the tree is coarse
-//!   (a whole experiment, a tenant run, a lint file, a snapshot shard), so
-//!   this balances as well as per-worker stealing would, and it can never
+//!   (a whole experiment, a tenant run, a snapshot shard), so this
+//!   balances as well as per-worker stealing would, and it can never
 //!   claim a job twice. The claim order changes only *which worker* runs
 //!   a job — never its id, its seed, or its place in the merged output.
 //! * **Merge strictly in job-id order.** Every job writes its result into

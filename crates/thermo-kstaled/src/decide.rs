@@ -2,12 +2,16 @@
 //!
 //! Mirrors `thermostat/src/daemon/decide.rs`: randomized policy decisions
 //! live in pure helpers in one module, so the sequence of draws per tick —
-//! part of the golden-artifact contract — is auditable in one place and
-//! the `rng_containment` lint (DESIGN.md §11) can enforce that no draw
-//! site appears anywhere else.
+//! part of the golden-artifact contract — is auditable in one place. This
+//! crate's `clippy.toml` bans RNG draws (D3, DESIGN.md §11) everywhere
+//! but here.
 //!
 //! Draw order per [`crate::Damon`] sampling pass: exactly one
 //! [`draw_probe_offset`] draw per region, in region order.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "kstaled's RNG draws live here, in historical draw order (D3)"
+)]
 
 use thermo_util::rng::{Rng, SmallRng};
 

@@ -26,8 +26,6 @@ pub struct MigrationStats {
     pub back_to_fast_pages: u64,
     /// Bytes promoted back to fast memory.
     pub back_to_fast_bytes: u64,
-    /// Total time spent copying, in ns.
-    pub copy_time_ns: u64,
 }
 
 impl MigrationStats {
@@ -88,7 +86,8 @@ impl MigrationEngine {
     }
 
     /// Records a migration of one page of `size` towards `target`; returns
-    /// the charged copy time in ns.
+    /// the synchronous copy time in ns for the caller to charge (a fabric
+    /// commit ignores it: its link already paid for the copy).
     pub fn record(&mut self, target: Tier, size: PageSize) -> u64 {
         let bytes = size.bytes() as u64;
         match target {
@@ -101,9 +100,7 @@ impl MigrationEngine {
                 self.stats.back_to_fast_bytes += bytes;
             }
         }
-        let cost = self.migration_cost_ns(size);
-        self.stats.copy_time_ns += cost;
-        cost
+        self.migration_cost_ns(size)
     }
 
     /// Aggregate statistics.

@@ -1,11 +1,15 @@
 //! Seed derivation for scenario tenant streams — the crate's only legal
-//! home for the seed-splitting primitives (thermo-lint D3,
-//! `rng_containment`).
+//! home for the seed-splitting primitives, which the root `clippy.toml`
+//! bans everywhere else (D3, DESIGN.md §11).
 //!
 //! Every tenant's stream seed is a pure function of
 //! `(base_seed, seed_salt, tenant_index)`: independent of compile order,
 //! worker count, and scheduling, which is what makes compiled scenarios
 //! byte-identical across `THERMO_JOBS` settings.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "scenario tenant seeds are split here and nowhere else (D3)"
+)]
 
 use thermo_util::rng::derive_stream_seed;
 

@@ -279,6 +279,13 @@ impl Engine {
         }
     }
 
+    // X1 (DESIGN.md §11): every `PlanOp` variant gets its own arm, so a new
+    // variant fails to compile until it is handled; a catch-all arm would
+    // absorb it silently.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn apply_op(&mut self, op: &PlanOp, scratch: &mut Vec<ScanHit>) -> OpOutcome {
         match op {
             PlanOp::ConsolidateCold { vpn } => {

@@ -447,7 +447,10 @@ where
     // pure function of `(shard_id, seed)`, so the extra call is free of
     // side effects, and the dispatch itself stays deterministic.
     if n_tenants > 0 {
-        // thermo-lint: allow(rng_containment, reason = "the probe must see the exact seed the thermo-exec pool would hand shard 0")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the probe must see the exact seed the thermo-exec pool would hand shard 0"
+        )]
         let probe_seed = thermo_util::rng::derive_stream_seed(cfg.base_seed, 0);
         let (probe, _, _) = build(0, probe_seed);
         if probe.config().sched.coscheduled {

@@ -1,7 +1,12 @@
 //! The co-scheduled runner's only randomized choice — the ordering-fuzz
 //! permutation — isolated in `decide.rs` per the repo's RNG-containment
-//! rule (thermo-lint D3): every draw site lives here, is pure in
-//! `(rng state, inputs)`, and is unit-testable without a runner.
+//! rule (D3, which thermo-sim's `clippy.toml` enforces): every draw site
+//! lives here, is pure in `(rng state, inputs)`, and is unit-testable
+//! without a runner.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the runner's ordering-fuzz draw lives here (D3)"
+)]
 
 use thermo_util::rng::{SliceRandom, SmallRng};
 

@@ -285,7 +285,10 @@ where
     let mut next_id = 0u32;
 
     for t in 0..n_tenants as u64 {
-        // thermo-lint: allow(rng_containment, reason = "co-scheduled tenants must receive the exact per-shard seeds the thermo-exec pool derives (sched_equivalence pins this)")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "co-scheduled tenants must receive the exact per-shard seeds the thermo-exec pool derives (sched_equivalence pins this)"
+        )]
         let seed = thermo_util::rng::derive_stream_seed(base_seed, t);
         let mut tenant = Tenant::build(&build, t, seed);
         let sched_cfg = tenant.engine.config().sched;

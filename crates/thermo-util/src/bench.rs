@@ -14,17 +14,20 @@
 //! iters)` — in every mode, including the `THERMO_BENCH_FAST=1` smoke
 //! mode CI uses (single-shot there, so σ = 0).
 //!
-//! Perf PRs are self-verifying through two environment knobs handled by
-//! the [`criterion_main!`](crate::criterion_main!) epilogue:
+//! With `THERMO_BENCH_JSON=path`, the
+//! [`criterion_main!`](crate::criterion_main!) epilogue writes every
+//! bench's [`BenchStats`] to `path` as a machine-readable baseline.
+//! `scripts/ci.sh` gates on the median of several such files against
+//! `goldens/bench-baseline.json`; this harness compares nothing itself.
 //!
-//! * `THERMO_BENCH_JSON=path` — write every bench's [`BenchStats`] to
-//!   `path` as a machine-readable baseline;
-//! * `THERMO_BENCH_BASELINE=path` — compare against a saved baseline and
-//!   **exit non-zero** if any bench's median regressed more than
-//!   `THERMO_BENCH_MAX_REGRESSION_PCT` percent (default 50).
+//! The harness reads wall-clock time, which thermo-util's `clippy.toml`
+//! bans (D2, DESIGN.md §11); each read carries an `#[expect]`.
 
 use std::sync::Mutex;
-// thermo-lint: allow(ambient_nondeterminism, reason = "the bench harness exists to measure wall-clock; timings never enter golden artifacts")
+#[expect(
+    clippy::disallowed_types,
+    reason = "the bench harness exists to measure wall-clock; timings never enter golden artifacts"
+)]
 use std::time::{Duration, Instant};
 
 use crate::json_struct;
@@ -152,8 +155,8 @@ impl BenchStats {
     }
 }
 
-/// The baseline file format written via `THERMO_BENCH_JSON` and read via
-/// `THERMO_BENCH_BASELINE`.
+/// The baseline file format written via `THERMO_BENCH_JSON` (and read by
+/// `benchagg`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchBaseline {
     /// Every bench's statistics, in execution order.
@@ -162,89 +165,25 @@ pub struct BenchBaseline {
 
 json_struct!(BenchBaseline { benches });
 
-/// Compares `current` against `baseline`: one report string per bench
-/// whose median regressed more than `max_regression_pct` percent.
-/// Benches missing from the baseline are skipped (new benches must not
-/// fail the gate).
-pub fn regressions(
-    current: &[BenchStats],
-    baseline: &[BenchStats],
-    max_regression_pct: f64,
-) -> Vec<String> {
-    let mut out = Vec::new();
-    for cur in current {
-        let Some(base) = baseline.iter().find(|b| b.name == cur.name) else {
-            continue;
-        };
-        if base.median_ns <= 0.0 {
-            continue;
-        }
-        let pct = (cur.median_ns / base.median_ns - 1.0) * 100.0;
-        if pct > max_regression_pct {
-            out.push(format!(
-                "bench regression: {} median {:.3} µs vs baseline {:.3} µs (+{:.1}%, threshold {:.0}%)",
-                cur.name,
-                cur.median_ns / 1e3,
-                base.median_ns / 1e3,
-                pct,
-                max_regression_pct
-            ));
-        }
-    }
-    out
-}
-
 /// Epilogue run by [`criterion_main!`](crate::criterion_main!): writes
-/// the optional baseline JSON, checks the optional saved baseline, and
-/// returns the process exit code (0 = ok, 1 = regression detected).
+/// the optional baseline JSON and returns the process exit code (0 = ok,
+/// 1 = the file could not be written).
 pub fn finalize() -> i32 {
-    let results = std::mem::take(&mut *RESULTS.lock().expect("bench results lock"));
-    if let Some(path) = std::env::var_os("THERMO_BENCH_JSON") {
-        let file = BenchBaseline {
-            benches: results.clone(),
-        };
-        let mut text = crate::json::encode_pretty(&file);
-        text.push('\n');
-        match std::fs::write(&path, text) {
-            Ok(()) => eprintln!("[bench baseline written to {}]", path.to_string_lossy()),
-            Err(e) => {
-                eprintln!("error: cannot write {}: {e}", path.to_string_lossy());
-                return 1;
-            }
-        }
-    }
-    let Some(path) = std::env::var_os("THERMO_BENCH_BASELINE") else {
+    let benches = std::mem::take(&mut *RESULTS.lock().expect("bench results lock"));
+    let Some(path) = std::env::var_os("THERMO_BENCH_JSON") else {
         return 0;
     };
-    let threshold = std::env::var("THERMO_BENCH_MAX_REGRESSION_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(50.0);
-    let baseline: BenchBaseline = match std::fs::read_to_string(&path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| crate::json::decode(&text).map_err(|e| e.to_string()))
-    {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!(
-                "error: cannot load bench baseline {}: {e}",
-                path.to_string_lossy()
-            );
-            return 1;
+    let mut text = crate::json::encode_pretty(&BenchBaseline { benches });
+    text.push('\n');
+    match std::fs::write(&path, text) {
+        Ok(()) => {
+            eprintln!("[bench baseline written to {}]", path.to_string_lossy());
+            0
         }
-    };
-    let failures = regressions(&results, &baseline.benches, threshold);
-    for f in &failures {
-        eprintln!("{f}");
-    }
-    if failures.is_empty() {
-        eprintln!(
-            "[bench baseline check ok: {} bench(es) within {threshold}%]",
-            results.len()
-        );
-        0
-    } else {
-        1
+        Err(e) => {
+            eprintln!("error: cannot write {}: {e}", path.to_string_lossy());
+            1
+        }
     }
 }
 
@@ -332,7 +271,10 @@ impl Bencher {
         // Warmup (untimed).
         black_box(routine());
         for _ in 0..self.iters {
-            // thermo-lint: allow(ambient_nondeterminism, reason = "timed bench iteration: wall-clock is the measurement")
+            #[expect(
+                clippy::disallowed_types,
+                reason = "timed bench iteration: wall-clock is the measurement"
+            )]
             let start = Instant::now();
             black_box(routine());
             self.samples.push(start.elapsed());
@@ -349,7 +291,10 @@ impl Bencher {
         black_box(routine(setup()));
         for _ in 0..self.iters {
             let input = setup();
-            // thermo-lint: allow(ambient_nondeterminism, reason = "timed bench iteration: wall-clock is the measurement")
+            #[expect(
+                clippy::disallowed_types,
+                reason = "timed bench iteration: wall-clock is the measurement"
+            )]
             let start = Instant::now();
             black_box(routine(input));
             self.samples.push(start.elapsed());
@@ -391,9 +336,8 @@ macro_rules! criterion_group {
 /// Declares the bench binary's `main`, Criterion-style:
 /// `criterion_main!(benches);`
 ///
-/// After all groups run, the epilogue writes/checks baselines per the
-/// `THERMO_BENCH_JSON` / `THERMO_BENCH_BASELINE` environment knobs and
-/// exits non-zero on a detected regression.
+/// After all groups run, the epilogue writes the `THERMO_BENCH_JSON`
+/// baseline, if set, and exits non-zero when it cannot.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
@@ -489,24 +433,6 @@ mod tests {
         assert!(line.contains("median"), "{line}");
         assert!(line.contains("σ 0.000"), "{line}");
         assert!(line.contains("1 iters"), "{line}");
-    }
-
-    #[test]
-    fn regression_detection_thresholds() {
-        let base = vec![stats("a", 100.0), stats("b", 100.0)];
-        let current = vec![
-            stats("a", 120.0), // +20%: under a 50% threshold
-            stats("b", 200.0), // +100%: over it
-            stats("new", 5.0), // not in baseline: skipped
-        ];
-        let fails = regressions(&current, &base, 50.0);
-        assert_eq!(fails.len(), 1, "{fails:?}");
-        assert!(fails[0].contains("b"), "{fails:?}");
-        assert!(fails[0].contains("+100.0%"), "{fails:?}");
-        // Tighter threshold catches both.
-        assert_eq!(regressions(&current, &base, 10.0).len(), 2);
-        // Improvements never fail.
-        assert!(regressions(&base, &current, 10.0).is_empty());
     }
 
     #[test]

@@ -671,12 +671,18 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // piece. Both are ASCII, so the run ends on a character
+                    // boundary.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -801,6 +807,26 @@ mod tests {
         let s = "a\"b\\c\nd\te\u{8}\u{c}\r\u{1}é☃";
         let text = to_string(&Value::Str(s.to_string()));
         assert_eq!(parse(&text).unwrap().as_str(), Some(s));
+    }
+
+    #[test]
+    fn multibyte_runs_next_to_escapes_and_quotes_roundtrip() {
+        // Multi-byte characters (2, 3 and 4 bytes) directly before and
+        // after each escape, at both ends of the string, and in keys.
+        let key = "é\\\"ключ\"☃";
+        let val = "\"😀\\n\né\t日本\u{1}ü\"";
+        let v = Value::Obj(vec![
+            (key.to_string(), Value::Str(val.to_string())),
+            ("ascii".into(), Value::Str("plain".into())),
+        ]);
+        let text = to_string(&v);
+        assert_eq!(parse(&text).unwrap(), v);
+        assert_eq!(to_string(&parse(&text).unwrap()), text);
+        let hand = r#"{"é\\\"ключ\"☃":"\"😀\\n\né\t日本\u0001ü\""}"#;
+        let parsed = parse(hand).unwrap();
+        assert_eq!(parsed.get(key).and_then(Value::as_str), Some(val));
+        let err = parse("\"日本").unwrap_err().to_string();
+        assert!(err.contains("unterminated string"), "{err}");
     }
 
     #[test]

@@ -176,7 +176,10 @@ impl ZipfianDist {
     /// `u = (((j+1)/n)^(1/alpha) - 1 + eta) / eta` to keep the bracket a
     /// few thousand ulps wide. The result is a pure function of
     /// `(n, theta)`; which worker builds it first is unobservable.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "the cache stores and returns the three tables as one tuple; each caller destructures it"
+    )]
     fn head_table(
         n: u64,
         theta: f64,

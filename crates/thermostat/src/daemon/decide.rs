@@ -6,6 +6,13 @@
 //! order. The RNG draw sequence matches the historical in-line code draw
 //! for draw, which is what keeps golden artifacts stable across the
 //! mechanism/policy split.
+//!
+//! This crate's `clippy.toml` bans RNG draws (D3, DESIGN.md §11); this
+//! module is their one home, so it expects the lint once for the file.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the daemon's RNG draws live here, in historical draw order (D3)"
+)]
 
 use crate::config::ThermostatConfig;
 use std::collections::BTreeSet;

@@ -15,17 +15,36 @@ cd "$(dirname "$0")/.."
 THERMO_JOBS="${THERMO_JOBS:-$(nproc 2>/dev/null || echo 2)}"
 export THERMO_JOBS
 
+# Bench regression gate knobs (the gate and its threshold are explained
+# below). awk would compare a non-number as text, so a malformed threshold
+# could pass any regression: reject one up front, naming the variable.
+THERMO_BENCH_REPS="${THERMO_BENCH_REPS:-5}"
+THERMO_BENCH_MAX_REGRESSION_PCT="${THERMO_BENCH_MAX_REGRESSION_PCT:-150}"
+for knob in THERMO_BENCH_REPS THERMO_BENCH_MAX_REGRESSION_PCT; do
+  case "${!knob}" in
+    *[!0-9]*) ;;
+    *[1-9]*) continue ;;
+  esac
+  echo "error: $knob must be a positive decimal integer, got '${!knob}'" >&2
+  exit 2
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-# Static-analysis gate (DESIGN.md §11, §16): determinism and seam
-# invariants, enforced before anything is built in release mode so
-# violations fail in seconds. Findings already recorded in
-# goldens/lint-baseline.json are grandfathered (visible, counted,
-# expected to reach zero); anything new fails here. The binary prints
-# per-lint counts either way.
-echo "==> thermo-lint (vs goldens/lint-baseline.json)"
-cargo run -q --offline -p thermo-lint -- --baseline goldens/lint-baseline.json
+# Static gate (DESIGN.md §11): the determinism and seam bans in the
+# clippy.toml files, and an #[expect] with a reason for every suppression,
+# checked on lib and bin targets before the release build so a violation
+# fails in seconds. Clippy only warns, and exits 0, when a clippy.toml path
+# resolves to nothing; that warning fails the stage too, or a renamed engine
+# method would drop out of its ban silently.
+echo "==> cargo clippy -D warnings (clippy.toml bans)"
+mkdir -p target
+cargo clippy --offline --workspace -- -D warnings 2>&1 | tee target/clippy.log
+if grep -q 'does not refer to' target/clippy.log; then
+  echo "FAIL: a clippy.toml path resolves to nothing (see above)" >&2
+  exit 1
+fi
 
 echo "==> cargo build --release --offline (all targets)"
 cargo build --release --offline --workspace --all-targets
@@ -73,8 +92,6 @@ echo "    $n_digest workload digests identical"
 # threshold on the median-of-5 therefore only trips on genuine >=2.5x
 # blowups (algorithmic regressions, accidental O(n^2)), not timing noise
 # — down from the provisional single-shot +300% gate.
-THERMO_BENCH_REPS="${THERMO_BENCH_REPS:-5}"
-THERMO_BENCH_MAX_REGRESSION_PCT="${THERMO_BENCH_MAX_REGRESSION_PCT:-150}"
 echo "==> bench regression gate (N=$THERMO_BENCH_REPS smoke reps, median-of-N vs baseline, threshold +${THERMO_BENCH_MAX_REGRESSION_PCT}%)"
 bdir="target/bench-ci"
 rm -rf "$bdir"
@@ -141,14 +158,14 @@ THERMO_SCAN_JOBS=1 scripts/golden.sh check | tee "$bdir/golden-check.log"
 echo "==> golden-artifact check, off-thread scans (THERMO_SCAN_JOBS=4, THERMO_JOBS=$THERMO_JOBS) — wall-clock after"
 THERMO_SCAN_JOBS=4 scripts/golden.sh check
 
-# Orphan goldens: every goldens/*.json but the two baselines must belong
+# Orphan goldens: every goldens/*.json but the bench baseline must belong
 # to a registry experiment the check above ran.
 echo "==> orphan golden check"
 n_golden=0
 for golden in goldens/*.json; do
   name=$(basename "$golden" .json)
   case "$name" in
-    bench-baseline | lint-baseline) continue ;;
+    bench-baseline) continue ;;
   esac
   grep -q "^golden ok: $name " "$bdir/golden-check.log" || {
     echo "FAIL: $golden has no fresh artifact (experiment missing from the registry?)" >&2

@@ -28,10 +28,9 @@
 # period — see DESIGN.md "Golden artifacts". Set THERMO_GOLDEN_DIR to
 # check against an alternate golden tree.
 #
-# Note: `bless` covers experiment artifacts only. The static-analysis
-# baseline (goldens/lint-baseline.json) is blessed separately — after
-# fixing grandfathered violations, count it down with
-#   cargo run -p thermo-lint -- --write-baseline goldens/lint-baseline.json
+# Note: `bless` covers experiment artifacts only. The bench baseline
+# (goldens/bench-baseline.json) is re-recorded with scripts/benchagg.sh
+# (EXPERIMENTS.md "Regenerating the bench baseline").
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
