@@ -25,7 +25,8 @@
 //! goldens in `goldens/`, default CI) and the opt-in full tier
 //! ([`EvalParams::full`], `--full` or `THERMO_GOLDEN_SCALE=full`,
 //! goldens blessed separately under `goldens/full/`, release branches
-//! only). Usually invoked through `scripts/golden.sh`. Set
+//! only). `THERMO_GOLDEN_SCALE` takes exactly `smoke` or `full`; any other
+//! value exits 2. Usually invoked through `scripts/golden.sh`. Set
 //! `THERMO_GOLDEN_DIR` to point at an alternate golden tree.
 
 use thermo_bench::experiments::{self, run_parallel, Experiment};
@@ -34,7 +35,18 @@ use thermo_bench::EvalParams;
 
 fn main() {
     let mut mode: Option<String> = None;
-    let mut full = std::env::var("THERMO_GOLDEN_SCALE").is_ok_and(|v| v == "full");
+    let mut full = match std::env::var_os("THERMO_GOLDEN_SCALE") {
+        None => false,
+        Some(v) if v == "smoke" => false,
+        Some(v) if v == "full" => true,
+        Some(v) => {
+            eprintln!(
+                "THERMO_GOLDEN_SCALE must be `smoke` or `full`, got `{}`",
+                v.to_string_lossy()
+            );
+            std::process::exit(2);
+        }
+    };
     let mut ids: Vec<String> = Vec::new();
     for arg in std::env::args().skip(1) {
         match arg.as_str() {

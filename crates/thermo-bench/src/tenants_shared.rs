@@ -17,9 +17,9 @@
 //! claws cold/idle capacity back from the antagonist — the checked-in
 //! golden pins the reclaim→grant event trace and the victim's recovery
 //! byte-for-byte. The run is single-threaded by construction, so the
-//! artifact is identical for every `THERMO_JOBS`/`THERMO_SCAN_JOBS`
-//! setting, and `tests/sched_fuzz.rs` holds it byte-identical under
-//! permuted same-tick pop order.
+//! artifact is identical for every `THERMO_JOBS` setting, and
+//! `tests/sched_fuzz.rs` holds it byte-identical under permuted same-tick
+//! pop order.
 
 use crate::artifact::ExperimentArtifact;
 use crate::harness::EvalParams;

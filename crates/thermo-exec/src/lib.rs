@@ -20,10 +20,10 @@
 //!   claim order from one shared counter (`fetch_add`) until the order
 //!   runs out, so an idle worker always takes the next unclaimed job and
 //!   a slow job never holds up the rest. Every job in the tree is coarse
-//!   (a whole experiment, a tenant run, a snapshot shard), so this
-//!   balances as well as per-worker stealing would, and it can never
-//!   claim a job twice. The claim order changes only *which worker* runs
-//!   a job — never its id, its seed, or its place in the merged output.
+//!   (a whole experiment, a tenant run), so this balances as well as
+//!   per-worker stealing would, and it can never claim a job twice. The
+//!   claim order changes only *which worker* runs a job — never its id,
+//!   its seed, or its place in the merged output.
 //! * **Merge strictly in job-id order.** Every job writes its result into
 //!   a slot indexed by its id; [`run_jobs`] returns the slots in id order
 //!   regardless of completion order, worker count, claim order, or OS
@@ -186,24 +186,6 @@ pub fn jobs_from_env() -> usize {
 /// Panics when the variable is set but is not a seed.
 pub fn exec_fuzz_from_env() -> Option<u64> {
     thermo_util::rng::seed_from_env("THERMO_EXEC_FUZZ")
-}
-
-/// Reads the off-thread scan worker count from `THERMO_SCAN_JOBS`.
-///
-/// Unlike [`jobs_from_env`] (experiment-level fan-out), this knob gates the
-/// *scan pipeline inside* a simulation: how many workers snapshot page-table
-/// shards when a policy builds a `thermo_sim::MemoryView`. Unset, `0`, or
-/// `1` all mean "inline on the app thread" — the conservative default,
-/// since shard-parallel snapshots only pay off when spare cores exist.
-/// Artifacts are byte-identical for every value (shard boundaries and merge
-/// order are fixed, never worker-derived); see
-/// `tests/scan_parallel_determinism.rs`.
-///
-/// # Panics
-///
-/// Panics when the variable is set but is not a count.
-pub fn scan_jobs_from_env() -> usize {
-    thermo_util::rng::count_from_env("THERMO_SCAN_JOBS").map_or(1, |n| n.max(1) as usize)
 }
 
 /// Why a batch failed.

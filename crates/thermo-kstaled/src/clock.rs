@@ -63,26 +63,25 @@ pub struct ClockPolicy {
     /// Fabric demotions in flight, as `(vpn, txn_id)`.
     pending: Vec<(Vpn, u64)>,
     stats: ClockStats,
-    scan_workers: usize,
 }
 
 impl ClockPolicy {
-    /// Creates the policy; the first sweep fires one period in. Snapshot
-    /// scans use `THERMO_SCAN_JOBS` shard workers (inline when unset).
+    /// Creates the policy; the first sweep fires one period in.
     pub fn new(config: ClockConfig) -> Self {
-        Self::with_scan_workers(config, thermo_exec::scan_jobs_from_env())
-    }
-
-    /// [`ClockPolicy::new`] with an explicit snapshot worker count.
-    pub fn with_scan_workers(config: ClockConfig, scan_workers: usize) -> Self {
         Self {
             next_due_ns: config.sweep_period_ns,
             config,
             idle_queue: VecDeque::new(),
             pending: Vec::new(),
             stats: ClockStats::default(),
-            scan_workers,
         }
+    }
+
+    /// [`ClockPolicy::new`]; the worker count has no effect, because every
+    /// snapshot walks its ranges on the calling thread. Kept only for
+    /// perfbench, its last caller.
+    pub fn with_scan_workers(config: ClockConfig, _scan_workers: usize) -> Self {
+        Self::new(config)
     }
 
     /// Statistics snapshot.
@@ -137,7 +136,7 @@ impl ClockPolicy {
         // them and promotes referenced slow pages (CLOCK second chance
         // across tiers); idle fast pages enter the demotion queue.
         let ranges = engine.vma_ranges();
-        let view = engine.memory_view(&ranges, self.scan_workers);
+        let view = engine.memory_view(&ranges);
         self.idle_queue.clear();
         let mut plan = crate::clear_accessed_plan(&view);
         for p in view.pages() {

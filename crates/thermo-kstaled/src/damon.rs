@@ -102,19 +102,11 @@ pub struct Damon {
     rng: SmallRng,
     stats: DamonStats,
     initialized: bool,
-    scan_workers: usize,
 }
 
 impl Damon {
     /// Creates the monitor; regions are built from the VMAs on first tick.
-    /// Snapshot scans use `THERMO_SCAN_JOBS` shard workers (inline when
-    /// unset).
     pub fn new(config: DamonConfig) -> Self {
-        Self::with_scan_workers(config, thermo_exec::scan_jobs_from_env())
-    }
-
-    /// [`Damon::new`] with an explicit snapshot worker count.
-    pub fn with_scan_workers(config: DamonConfig, scan_workers: usize) -> Self {
         Self {
             next_due_ns: config.sample_interval_ns,
             rng: SmallRng::seed_from_u64(config.seed),
@@ -123,8 +115,14 @@ impl Damon {
             samples_in_window: 0,
             stats: DamonStats::default(),
             initialized: false,
-            scan_workers,
         }
+    }
+
+    /// [`Damon::new`]; the worker count has no effect, because every
+    /// snapshot walks its ranges on the calling thread. Kept only for
+    /// perfbench, its last caller.
+    pub fn with_scan_workers(config: DamonConfig, _scan_workers: usize) -> Self {
+        Self::new(config)
     }
 
     /// Current region set.
@@ -152,7 +150,7 @@ impl Damon {
         // Start from a clean slate: load-phase Accessed bits would
         // otherwise read as activity for dozens of windows.
         let ranges: Vec<(Vpn, u64)> = self.regions.iter().map(|r| (r.start, r.n_pages)).collect();
-        let view = engine.memory_view(&ranges, self.scan_workers);
+        let view = engine.memory_view(&ranges);
         crate::debug_assert_all_done(engine.apply_plan(&crate::clear_accessed_plan(&view)));
         // Split down to at least min_regions.
         while self.regions.len() < self.config.min_regions {
@@ -207,7 +205,7 @@ impl Damon {
                 (probe, 1)
             })
             .collect();
-        let view = engine.memory_view(&ranges, self.scan_workers);
+        let view = engine.memory_view(&ranges);
         let mut cleared: Vec<(Vpn, PageSize)> = Vec::new();
         for (i, r) in self.regions.iter_mut().enumerate() {
             let Some(p) = view.range_pages(i).first() else {

@@ -55,38 +55,33 @@ struct IdleState {
 /// The periodic Accessed-bit scanner.
 ///
 /// Works entirely through the engine's snapshot/plan seam: each tick takes
-/// a [`MemoryView`] of every VMA (built by `THERMO_SCAN_JOBS` shard
-/// workers off the app thread when configured), updates idle ages from the
-/// snapshot, and clears the observed Accessed bits with one
-/// [`PolicyPlan`] — charging exactly what the historical fused
-/// scan-and-clear paid.
+/// a [`MemoryView`] of every VMA, updates idle ages from the snapshot, and
+/// clears the observed Accessed bits with one [`PolicyPlan`] — charging
+/// exactly what the historical fused scan-and-clear paid.
 #[derive(Debug)]
 pub struct Kstaled {
     config: KstaledConfig,
     next_due_ns: u64,
     ages: BTreeMap<Vpn, IdleState>,
     scans: u64,
-    scan_workers: usize,
 }
 
 impl Kstaled {
     /// Creates a scanner whose first scan fires one period from t=0.
-    /// Snapshot scans use `THERMO_SCAN_JOBS` shard workers (inline when
-    /// unset).
     pub fn new(config: KstaledConfig) -> Self {
-        Self::with_scan_workers(config, thermo_exec::scan_jobs_from_env())
-    }
-
-    /// [`Kstaled::new`] with an explicit snapshot worker count instead of
-    /// the `THERMO_SCAN_JOBS` environment default.
-    pub fn with_scan_workers(config: KstaledConfig, scan_workers: usize) -> Self {
         Self {
             next_due_ns: config.scan_period_ns,
             config,
             ages: BTreeMap::new(),
             scans: 0,
-            scan_workers,
         }
+    }
+
+    /// [`Kstaled::new`]; the worker count has no effect, because every
+    /// snapshot walks its ranges on the calling thread. Kept only for
+    /// perfbench, its last caller.
+    pub fn with_scan_workers(config: KstaledConfig, _scan_workers: usize) -> Self {
+        Self::new(config)
     }
 
     /// Number of completed scan passes.
@@ -133,7 +128,7 @@ impl PolicyHook for Kstaled {
 
     fn tick(&mut self, engine: &mut Engine) {
         let ranges = engine.vma_ranges();
-        let view = engine.memory_view(&ranges, self.scan_workers);
+        let view = engine.memory_view(&ranges);
         for p in view.pages() {
             if p.size != PageSize::Huge2M {
                 continue;
@@ -192,7 +187,6 @@ pub struct HotRegionMonitor {
     streaks: BTreeMap<Vpn, Box<[u8; PAGES_PER_HUGE]>>,
     /// Per target huge page: children that ever reached [`HOT_STREAK`].
     ever_hot: BTreeMap<Vpn, Box<[bool; PAGES_PER_HUGE]>>,
-    scan_workers: usize,
     finished: bool,
 }
 
@@ -222,7 +216,6 @@ impl HotRegionMonitor {
             scans_done: 0,
             streaks,
             ever_hot,
-            scan_workers: thermo_exec::scan_jobs_from_env(),
             finished: false,
         }
     }
@@ -274,7 +267,7 @@ impl PolicyHook for HotRegionMonitor {
             .keys()
             .map(|&t| (t, PAGES_PER_HUGE as u64))
             .collect();
-        let view = engine.memory_view(&ranges, self.scan_workers);
+        let view = engine.memory_view(&ranges);
         for (i, (&t, streaks)) in self.streaks.iter_mut().enumerate() {
             let ever = self.ever_hot.get_mut(&t).expect("target tracked");
             for p in view.range_pages(i) {

@@ -12,16 +12,13 @@
 //!   poisoning, and page migration between tiers;
 //! * the **policy seam** ([`view`] + [`plan`]): a phase-structured boundary
 //!   for policy layers (`thermostat::Daemon`, `thermo-kstaled`). A policy
-//!   takes a read-only [`MemoryView`] snapshot at a period boundary
-//!   (optionally built by sharded `thermo-exec` workers off the app
-//!   thread), decides purely on that snapshot, and hands back a
-//!   [`PolicyPlan`] that [`Engine::apply_plan`] executes in program
-//!   order, atomically, with the paper's virtual-time cost accounting.
+//!   takes a read-only [`MemoryView`] snapshot at a period boundary,
+//!   decides purely on that snapshot, and hands back a [`PolicyPlan`]
+//!   that [`Engine::apply_plan`] executes in program order, atomically,
+//!   with the paper's virtual-time cost accounting.
 //!
-//! Everything is deterministic: no host randomness, and the only threads
-//! are the scoped read-only snapshot workers whose shard boundaries and
-//! merge order are fixed (never worker-derived), so artifacts are
-//! byte-identical for any `THERMO_SCAN_JOBS`.
+//! Everything is deterministic: no host randomness and no threads; an
+//! engine runs on the thread that calls it.
 
 mod kernel;
 mod plan;

@@ -1,5 +1,5 @@
 use super::*;
-use thermo_mem::MemError;
+use thermo_mem::{MemError, PAGES_PER_HUGE};
 
 fn small_engine() -> Engine {
     Engine::new(SimConfig::paper_defaults(64 << 20, 64 << 20))
@@ -285,14 +285,14 @@ fn direct_mode_charges_slow_latency_on_llc_miss() {
 // MemoryView (the snapshot half of the policy seam)
 // ----------------------------------------------------------------------
 
-/// Builds an engine whose layout forces several view shards: a VMA bigger
-/// than one 32MB shard with a mix of huge, split, poisoned and migrated
-/// leaves, plus a second small VMA.
-fn sharded_engine() -> (Engine, VirtAddr, VirtAddr) {
+/// Builds an engine with a 96MB VMA holding a mix of huge, split, poisoned
+/// and migrated leaves on both sides of 32MB boundaries, plus a second
+/// small VMA of 4KB pages.
+fn mixed_engine() -> (Engine, VirtAddr, VirtAddr) {
     let mut e = Engine::new(SimConfig::paper_defaults(256 << 20, 256 << 20));
     let a = e.mmap(96 << 20, true, true, false, "big");
     let b = e.mmap(4 << 20, false, true, false, "small");
-    // Touch huge pages on both sides of the 32MB shard boundary.
+    // Touch huge pages on both sides of the 32MB boundaries.
     for mb in [0u64, 2, 30, 32, 34, 60, 94] {
         e.access(a + (mb << 20), true);
     }
@@ -306,49 +306,58 @@ fn sharded_engine() -> (Engine, VirtAddr, VirtAddr) {
     (e, a, b)
 }
 
-#[test]
-fn memory_view_identical_for_any_worker_count() {
-    let (e, _, _) = sharded_engine();
-    let ranges = e.vma_ranges();
-    let inline = e.memory_view_uncharged(&ranges, 1);
-    for workers in [2, 4, 7] {
-        let par = e.memory_view_uncharged(&ranges, workers);
-        assert_eq!(inline.pages(), par.pages(), "workers={workers}");
-        assert_eq!(inline.ptes_visited(), par.ptes_visited());
-        for i in 0..ranges.len() {
-            assert_eq!(inline.range_pages(i), par.range_pages(i));
+/// Asserts that `view` holds, range by range, exactly the leaves a
+/// `read_accessed` of that range alone reports, in the same order.
+fn assert_spans_match_read_accessed(e: &mut Engine, view: &MemoryView, ranges: &[(Vpn, u64)]) {
+    let mut total = 0;
+    for (i, &(start, n)) in ranges.iter().enumerate() {
+        let mut hits = Vec::new();
+        e.read_accessed(start, n, &mut hits);
+        let span = view.range_pages(i);
+        assert_eq!(span.len(), hits.len(), "range {i}");
+        for (p, h) in span.iter().zip(&hits) {
+            assert_eq!(p.base_vpn, h.base_vpn, "range {i}");
+            assert_eq!(p.size, h.size);
+            assert_eq!(p.accessed, h.accessed);
+            assert_eq!(p.dirty, h.dirty);
+            assert_eq!(p.poisoned, e.trap().is_poisoned(p.base_vpn));
+            assert_eq!(Some(p.tier), e.tier_of_vpn(p.base_vpn));
         }
+        assert_eq!(view.pages()[total..total + span.len()], *span, "range {i}");
+        total += span.len();
     }
+    assert_eq!(view.pages().len(), total);
+    assert_eq!(view.ptes_visited(), total as u64);
 }
 
 #[test]
 fn memory_view_matches_read_accessed_and_footprint() {
-    let (mut e, _, _) = sharded_engine();
+    let (mut e, a, _) = mixed_engine();
+    // The VMA ranges: the 96MB one crosses two 32MB boundaries.
     let ranges = e.vma_ranges();
-    let view = e.memory_view_uncharged(&ranges, 4);
-    // Same leaves in the same order as the historical fused read scan.
-    let mut hits = Vec::new();
-    for &(start, n) in &ranges {
-        e.read_accessed(start, n, &mut hits);
-    }
-    assert_eq!(view.pages().len(), hits.len());
-    for (p, h) in view.pages().iter().zip(&hits) {
-        assert_eq!(p.base_vpn, h.base_vpn);
-        assert_eq!(p.size, h.size);
-        assert_eq!(p.accessed, h.accessed);
-        assert_eq!(p.dirty, h.dirty);
-        assert_eq!(p.poisoned, e.trap().is_poisoned(p.base_vpn));
-        assert_eq!(Some(p.tier), e.tier_of_vpn(p.base_vpn));
-    }
+    let view = e.memory_view_uncharged(&ranges);
+    assert_spans_match_read_accessed(&mut e, &view, &ranges);
     // Aggregates agree with the engine's own walk.
     assert_eq!(view.breakdown(), e.footprint_breakdown());
+
+    // Ranges shaped like the daemon's poison phase: one huge page each, out
+    // of address order, covering a split, a poisoned, a demoted, a plain and
+    // an unmapped huge slot.
+    let ranges: Vec<(Vpn, u64)> = [60u64, 30, 32, 0, 40]
+        .iter()
+        .map(|mb| ((a + (mb << 20)).vpn(), PAGES_PER_HUGE as u64))
+        .collect();
+    let view = e.memory_view_uncharged(&ranges);
+    assert_spans_match_read_accessed(&mut e, &view, &ranges);
+    assert_eq!(view.range_pages(1).len(), PAGES_PER_HUGE);
+    assert!(view.range_pages(4).is_empty());
 }
 
 #[test]
 fn memory_view_is_immutable_under_later_migrations() {
-    let (mut e, a, _) = sharded_engine();
+    let (mut e, a, _) = mixed_engine();
     let ranges = e.vma_ranges();
-    let view = e.memory_view_uncharged(&ranges, 2);
+    let view = e.memory_view_uncharged(&ranges);
     let victim = a.vpn();
     assert_eq!(view.find(victim).unwrap().tier, Tier::Fast);
     // Mutate the machine mid-period: demote, split, poison.
@@ -361,18 +370,18 @@ fn memory_view_is_immutable_under_later_migrations() {
     assert_eq!(p.size, PageSize::Huge2M);
     assert!(!view.find((a + (34 << 20)).vpn()).unwrap().poisoned);
     // A fresh view sees the new state.
-    let now = e.memory_view_uncharged(&ranges, 2);
+    let now = e.memory_view_uncharged(&ranges);
     assert_eq!(now.find(victim).unwrap().tier, Tier::Slow);
 }
 
 #[test]
 fn memory_view_charges_exact_scan_visit_cost() {
-    let (mut e, _, _) = sharded_engine();
+    let (mut e, _, _) = mixed_engine();
     let ranges = e.vma_ranges();
     let before = e.stats().kernel_time_ns;
-    let uncharged = e.memory_view_uncharged(&ranges, 2);
+    let uncharged = e.memory_view_uncharged(&ranges);
     assert_eq!(e.stats().kernel_time_ns, before, "uncharged view is free");
-    let view = e.memory_view(&ranges, 2);
+    let view = e.memory_view(&ranges);
     assert_eq!(
         e.stats().kernel_time_ns - before,
         view.ptes_visited() * SCAN_VISIT_NS
@@ -386,8 +395,8 @@ fn view_plus_targeted_clear_costs_what_fused_scan_did() {
     // (shootdown charge) must equal the historical fused
     // scan_and_clear_accessed over the same ranges — proving the seam
     // never changes virtual time.
-    let (mut split, _, _) = sharded_engine();
-    let (mut fused, _, _) = sharded_engine();
+    let (mut split, _, _) = mixed_engine();
+    let (mut fused, _, _) = mixed_engine();
     let ranges = split.vma_ranges();
 
     let k0 = fused.stats().kernel_time_ns;
@@ -398,7 +407,7 @@ fn view_plus_targeted_clear_costs_what_fused_scan_did() {
     let fused_cost = fused.stats().kernel_time_ns - k0;
 
     let k0 = split.stats().kernel_time_ns;
-    let view = split.memory_view(&ranges, 4);
+    let view = split.memory_view(&ranges);
     let accessed: Vec<(Vpn, PageSize)> = view
         .pages()
         .iter()
@@ -413,8 +422,8 @@ fn view_plus_targeted_clear_costs_what_fused_scan_did() {
     assert_eq!(split_cost, fused_cost);
     // And both machines end with identical A bits.
     assert_eq!(
-        split.memory_view_uncharged(&ranges, 1).pages(),
-        fused.memory_view_uncharged(&ranges, 1).pages()
+        split.memory_view_uncharged(&ranges).pages(),
+        fused.memory_view_uncharged(&ranges).pages()
     );
 }
 

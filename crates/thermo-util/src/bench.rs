@@ -34,8 +34,14 @@ use crate::json_struct;
 
 pub use std::hint::black_box;
 
+/// `THERMO_BENCH_FAST`: unset or `0` is off, a positive count is on.
+///
+/// # Panics
+///
+/// Panics, naming the variable and its value, when it is set but is not a
+/// count (`false`, `no` or an empty value).
 fn fast_mode() -> bool {
-    std::env::var_os("THERMO_BENCH_FAST").is_some_and(|v| v != "0")
+    crate::rng::count_from_env("THERMO_BENCH_FAST").is_some_and(|n| n > 0)
 }
 
 /// Results of every bench run so far in this process, drained by

@@ -13,8 +13,8 @@
 //! rows indexed by `vpn >> 9`, offset from the lowest mapped slot. The
 //! simulated process bump-allocates VMAs contiguously, so the slot space is
 //! dense and a translation is one bounds-checked index instead of three
-//! pointer hops; range scans (`for_each_leaf`) are linear array sweeps, the
-//! shape the off-thread scan pipeline (`thermo_sim::MemoryView`) reads.
+//! pointer hops; range scans (`for_each_leaf`) are linear array sweeps, one
+//! per range of a policy snapshot (`thermo_sim::MemoryView`).
 //! Walk *costs* are still charged by the simulator per radix level — the
 //! model is unchanged, only the host representation is flat.
 
@@ -525,10 +525,8 @@ impl PageTable {
     /// `(base_vpn, size, &pte)`.
     ///
     /// Huge leaves are visited once at their base; unmapped holes are
-    /// skipped. Because `&self` suffices, concurrent walkers over disjoint
-    /// (or even overlapping) ranges can run from scoped threads — the basis
-    /// of the off-thread scan pipeline (`thermo_sim::MemoryView`), whose
-    /// shards all read this same flat leaf array.
+    /// skipped. A policy snapshot (`thermo_sim::MemoryView`) walks each of
+    /// its ranges with one call.
     pub fn for_each_leaf(&self, start: Vpn, n_pages: u64, mut f: impl FnMut(Vpn, PageSize, &Pte)) {
         if n_pages == 0 || self.slots.is_empty() {
             return;

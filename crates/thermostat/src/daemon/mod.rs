@@ -24,15 +24,13 @@
 //!
 //! Every phase is written against the engine's phase-structured seam. A
 //! phase (1) takes a read-only [`MemoryView`](thermo_sim::MemoryView)
-//! snapshot — built off the app
-//! thread by `THERMO_SCAN_JOBS` shard workers when configured — (2) makes
-//! all its decisions on that snapshot with the pure helpers in [`decide`]
-//! (the only place the daemon's RNG is consulted), and (3) hands the
-//! engine a [`PolicyPlan`] whose receipt drives the bookkeeping. The
-//! daemon itself never touches page tables, the TLB, or the trap unit
-//! directly, and the plan's virtual-time charges equal what the
-//! historically fused scan-and-mutate code paid, so artifacts are
-//! byte-identical across the refactor and across any worker count.
+//! snapshot, (2) makes all its decisions on that snapshot with the pure
+//! helpers in [`decide`] (the only place the daemon's RNG is consulted),
+//! and (3) hands the engine a [`PolicyPlan`] whose receipt drives the
+//! bookkeeping. The daemon itself never touches page tables, the TLB, or
+//! the trap unit directly, and the plan's virtual-time charges equal what
+//! the historically fused scan-and-mutate code paid, so artifacts are
+//! byte-identical across the refactor.
 
 mod decide;
 #[cfg(test)]
@@ -143,10 +141,6 @@ pub struct Daemon {
     sampled_epoch: BTreeSet<Vpn>,
     history: Vec<PeriodRecord>,
     stats: DaemonStats,
-    /// Snapshot shard workers (`THERMO_SCAN_JOBS`); purely a host-side
-    /// execution knob, deliberately *not* part of the serialized
-    /// [`ThermostatConfig`] so artifacts cannot depend on it.
-    scan_workers: usize,
     last_slow_faults: u64,
     /// Fabric mode: demotions in flight on the migration fabric, as
     /// `(vpn, txn_id)`. Empty unless `SimConfig::fabric.enabled`.
@@ -157,25 +151,12 @@ pub struct Daemon {
 
 impl Daemon {
     /// Creates a daemon; the first scan fires one scan interval after t=0.
-    /// Snapshot scans use `THERMO_SCAN_JOBS` shard workers (inline when
-    /// unset).
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid
     /// (see [`ThermostatConfig::validate`]).
     pub fn new(config: ThermostatConfig) -> Self {
-        Self::with_scan_workers(config, thermo_exec::scan_jobs_from_env())
-    }
-
-    /// [`Daemon::new`] with an explicit snapshot worker count instead of
-    /// the `THERMO_SCAN_JOBS` environment default.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid
-    /// (see [`ThermostatConfig::validate`]).
-    pub fn with_scan_workers(config: ThermostatConfig, scan_workers: usize) -> Self {
         config.validate();
         Self {
             rng: SmallRng::seed_from_u64(config.seed),
@@ -189,12 +170,23 @@ impl Daemon {
             sampled_epoch: BTreeSet::new(),
             history: Vec::new(),
             stats: DaemonStats::default(),
-            scan_workers,
             last_slow_faults: 0,
             pending_demotes: Vec::new(),
             fabric_demoted: 0,
             config,
         }
+    }
+
+    /// [`Daemon::new`]; the worker count has no effect, because every
+    /// snapshot walks its ranges on the calling thread. Kept only for
+    /// perfbench, its last caller.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid
+    /// (see [`ThermostatConfig::validate`]).
+    pub fn with_scan_workers(config: ThermostatConfig, _scan_workers: usize) -> Self {
+        Self::new(config)
     }
 
     /// Current configuration.
@@ -245,7 +237,7 @@ impl Daemon {
         // resident in fast memory. Pages with an in-flight fabric demotion
         // are excluded — re-splitting them would invalidate the copy.
         let ranges = engine.vma_ranges();
-        let view = engine.memory_view(&ranges, self.scan_workers);
+        let view = engine.memory_view(&ranges);
         let candidates: Vec<Vpn> = view
             .pages()
             .iter()
@@ -372,7 +364,7 @@ impl Daemon {
             .iter()
             .map(|sp| (sp.vpn, PAGES_PER_HUGE as u64))
             .collect();
-        let view = engine.memory_view(&ranges, self.scan_workers);
+        let view = engine.memory_view(&ranges);
         let mut plan = PolicyPlan::new();
         for (i, sp) in self.sample.iter_mut().enumerate() {
             let pages = view.range_pages(i);

@@ -248,31 +248,3 @@ fn history_records_periods() {
         assert!(r.breakdown.total() > 0);
     }
 }
-
-#[test]
-fn daemon_identical_for_any_scan_worker_count() {
-    // The whole policy loop — splits, poisons, classification, migrations
-    // — must be bit-identical whether snapshots are built inline or by a
-    // worker pool.
-    let run = |workers: usize| {
-        let mut e = engine();
-        let mut w = OneHot {
-            base: VirtAddr(0),
-            n_huge: 16,
-            i: 0,
-        };
-        w.init(&mut e);
-        let mut d = Daemon::with_scan_workers(fast_config(), workers);
-        run_for(&mut e, &mut w, &mut d, 4_000_000_000);
-        (
-            e.now_ns(),
-            e.stats(),
-            d.stats(),
-            d.history().to_vec(),
-            d.cold.keys().copied().collect::<Vec<_>>(),
-        )
-    };
-    let inline = run(1);
-    assert_eq!(inline, run(4));
-    assert_eq!(inline, run(3));
-}

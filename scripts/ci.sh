@@ -133,30 +133,11 @@ awk -v thr="$THERMO_BENCH_MAX_REGRESSION_PCT" '
   }
 ' goldens/bench-baseline.json "$bdir"/rep*.json
 
-# Off-thread scan cross-check: the same cheap experiment run with inline
-# policy scans (THERMO_SCAN_JOBS=0) and with a 4-worker scan pool must
-# produce byte-identical artifacts. tests/scan_parallel_determinism.rs is
-# the exhaustive in-process version; this is the live end-to-end guard at
-# the binary boundary.
-echo "==> scan-parallel cross-check (fig10, THERMO_SCAN_JOBS=0 vs 4, byte compare)"
-THERMO_SCALE=512 THERMO_DURATION_SECS=3 THERMO_PERIOD_SECS=1 THERMO_SCAN_JOBS=0 \
-  cargo run -q --release --offline -p thermo-bench --bin fig10 >/dev/null
-cp target/experiments/fig10.artifact.json "$bdir/fig10.scan-inline.artifact.json"
-THERMO_SCALE=512 THERMO_DURATION_SECS=3 THERMO_PERIOD_SECS=1 THERMO_SCAN_JOBS=4 \
-  cargo run -q --release --offline -p thermo-bench --bin fig10 >/dev/null
-cmp "$bdir/fig10.scan-inline.artifact.json" target/experiments/fig10.artifact.json
-echo "    byte-identical"
-
-# Golden gate, run twice: once with inline scans (the pre-seam
-# wall-clock baseline) and once with a 4-worker scan pool, so the
-# off-thread scan speedup — and the fact that the verdict is identical —
-# is visible in CI logs. `golden.sh check` compares every fresh artifact
-# with its golden byte for byte (DESIGN.md §8); per-experiment and total
+# Golden gate: `golden.sh check` compares every fresh artifact with its
+# golden byte for byte (DESIGN.md §8); per-experiment and total
 # wall-clock are printed by the golden binary.
-echo "==> golden-artifact check, inline scans (THERMO_SCAN_JOBS=1, THERMO_JOBS=$THERMO_JOBS) — wall-clock before"
-THERMO_SCAN_JOBS=1 scripts/golden.sh check | tee "$bdir/golden-check.log"
-echo "==> golden-artifact check, off-thread scans (THERMO_SCAN_JOBS=4, THERMO_JOBS=$THERMO_JOBS) — wall-clock after"
-THERMO_SCAN_JOBS=4 scripts/golden.sh check
+echo "==> golden-artifact check (THERMO_JOBS=$THERMO_JOBS)"
+scripts/golden.sh check | tee "$bdir/golden-check.log"
 
 # Orphan goldens: every goldens/*.json but the bench baseline must belong
 # to a registry experiment the check above ran.

@@ -10,18 +10,17 @@
 # With no ids, all 15 registered experiments (fig5–fig10, tab2–tab4,
 # tenants, fab_bw, fab_abort, tenants_shared, scen_fleet, scen_storm)
 # execute as parallel jobs on the thermo-exec pool (THERMO_JOBS workers,
-# default = available parallelism). Policy scans inside each experiment additionally fan out
-# over their own pool (THERMO_SCAN_JOBS workers, default 1 = inline).
-# Artifacts are byte-identical for any worker count on either knob, so
-# parallelism only changes the wall-clock, which the binary prints per
-# experiment and in total.
+# default = available parallelism). Artifacts are byte-identical for any
+# worker count, so parallelism only changes the wall-clock, which the
+# binary prints per experiment and in total.
 #
 # Two tiers:
 #   default      smoke scale (EvalParams::smoke), goldens/, default CI;
 #   --full       the full 1/16 evaluation scale (EvalParams::full),
 #                goldens/full/, opt-in for release branches (its goldens
 #                are blessed separately and are NOT part of default
-#                CI). Equivalent: THERMO_GOLDEN_SCALE=full.
+#                CI). Equivalent: THERMO_GOLDEN_SCALE=full (the variable
+#                takes exactly `smoke` or `full`; anything else exits 2).
 #
 # A fresh artifact's canonical JSON must equal its golden's bytes; on a
 # mismatch the report names the diverging fields and the first diverging

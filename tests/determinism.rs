@@ -124,9 +124,9 @@ fn every_registry_experiment_is_byte_deterministic() {
 fn fabric_experiments_are_registered_and_swept() {
     // The transactional-fabric experiments must stay in the registry:
     // `every_registry_experiment_is_byte_deterministic` above and the
-    // THERMO_SCAN_JOBS sweep in thermo-bench both iterate `ALL`, so
-    // registration is what keeps the fabric's async copy/abort/backoff
-    // machinery under the byte-determinism gate.
+    // golden sweep both iterate `ALL`, so registration is what keeps the
+    // fabric's async copy/abort/backoff machinery under the
+    // byte-determinism gate.
     for id in ["fab_bw", "fab_abort"] {
         assert!(
             thermostat_suite::bench::experiments::by_id(id).is_some(),
